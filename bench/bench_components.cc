@@ -91,8 +91,7 @@ void BM_PipelineSinglePassTxn(benchmark::State& state) {
   const sw::SwitchTxn txn = MakeTxn(8);
   for (auto _ : state) {
     sw::SwitchTxn copy = txn;
-    copy.is_multipass = sw::Pipeline::CountPasses(copy.instrs) > 1;
-    copy.lock_mask = sw::LockDemandFor(cfg, copy.instrs);
+    sw::StampHeader(cfg, sw::PassPlan(copy.instrs), &copy);
     auto fut = pipe.Submit(std::move(copy));
     sim.Run();
     benchmark::DoNotOptimize(&fut);
@@ -101,13 +100,15 @@ void BM_PipelineSinglePassTxn(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineSinglePassTxn);
 
-void BM_CountPasses(benchmark::State& state) {
+void BM_PassPlan(benchmark::State& state) {
   const sw::SwitchTxn txn = MakeTxn(static_cast<size_t>(state.range(0)));
+  sw::PassPlan plan;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw::Pipeline::CountPasses(txn.instrs));
+    plan.Build(txn.instrs);
+    benchmark::DoNotOptimize(plan.passes);
   }
 }
-BENCHMARK(BM_CountPasses)->Arg(8)->Arg(32);
+BENCHMARK(BM_PassPlan)->Arg(8)->Arg(32);
 
 // ------------------------------------------------------ offload pipeline --
 

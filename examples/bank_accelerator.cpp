@@ -73,10 +73,9 @@ void AmalgamateCloseUp() {
       std::printf("  instr %zu: %s\n", i,
                   sw::ToString(compiled->txn.instrs[i]).c_str());
     }
-    std::printf("  predicted pipeline passes: %u%s\n",
-                compiled->predicted_passes,
-                compiled->predicted_passes == 1 ? " (single-pass, lock-free)"
-                                                : "");
+    const uint32_t passes = sw::PassPlan(compiled->txn.instrs).passes;
+    std::printf("  predicted pipeline passes: %u%s\n", passes,
+                passes == 1 ? " (single-pass, lock-free)" : "");
   }
   auto result =
       engine.ExecuteOnce(bank.Make(wl::SmallBank::kAmalgamate, 1, 2, 0), 0);

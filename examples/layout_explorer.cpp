@@ -41,7 +41,7 @@ double PredictSinglePassShare(const core::LayoutPlan& plan,
     auto compiled = pm.Compile(txn, {}, 0, 0);
     if (!compiled.ok()) continue;
     ++hot_txns;
-    single_pass += compiled->predicted_passes == 1;
+    single_pass += !compiled->txn.is_multipass;
   }
   return hot_txns == 0 ? 0
                        : 100.0 * static_cast<double>(single_pass) /

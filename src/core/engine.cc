@@ -371,6 +371,9 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
   // Sharded workers derive their stream from the home shard's seed and bind
   // it to the shard, so a draw from any other shard trips the RNG ownership
   // assert. Legacy workers keep the historical seed formula byte-for-byte.
+  // Open-loop sessions replace closed-loop workers one-for-one and reuse the
+  // formula — only one of the two pools ever exists, so the streams cannot
+  // collide.
   const uint64_t base_seed =
       sharded_ ? ShardSeed(config_.seed, node) : config_.seed;
   Rng rng(base_seed ^ seed_salt ^
@@ -392,14 +395,57 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
       sharded_ ? *eshards_[node]->gaveup : *gaveup_counter_;
   Histogram& attempts_h =
       sharded_ ? *eshards_[node]->attempts_hist : *attempts_hist_;
+  OpenLoopNode* ol =
+      config_.open_loop.enabled ? open_loop_[node].get() : nullptr;
   std::vector<std::optional<Value64>> results;
   while (!hsim.stopped()) {
     if (node_crashed_[node]) co_return;  // crashed nodes issue nothing
-    db::Transaction txn = workload_->Next(rng, node);
-    pm_.Classify(&txn, node);
-    const SimTime start = hsim.now();
+    db::Transaction txn;
+    // Latency epoch: a closed-loop worker's issue instant, or an open-loop
+    // arrival's send instant — admission queueing then counts, which is
+    // what bends the knee curve upward past saturation.
+    SimTime epoch = hsim.now();
+    if (ol == nullptr) {
+      txn = workload_->Next(rng, node);
+      pm_.Classify(&txn, node);
+    } else {
+      if (ol->size == 0) {
+        // Idle: park on the node's LIFO stack; the generator wakes exactly
+        // one session per admitted arrival.
+        struct ParkAwaiter {
+          OpenLoopNode* ol;
+          bool await_ready() const noexcept { return false; }
+          void await_suspend(std::coroutine_handle<> h) {
+            ol->idle_sessions.push_back(h);
+          }
+          void await_resume() const noexcept {}
+        };
+        co_await ParkAwaiter{ol};
+        continue;  // re-check stop/crash/queue state after waking
+      }
+      ArrivalRec& slot = ol->ring[ol->head];
+      txn = std::move(slot.txn);
+      epoch = slot.arrival;
+      ol->head = (ol->head + 1) % config_.open_loop.admission_queue_bound;
+      --ol->size;
+      if (ol->parked_generator) {
+        // kDelay backpressure: the slot this pop freed un-stalls the source.
+        const std::coroutine_handle<> g = ol->parked_generator;
+        ol->parked_generator = nullptr;
+        hsim.ScheduleResume(0, g);
+      }
+    }
     TxnTimers timers;
     const uint64_t ts = PeekTxnId(node);  // kept across retries (fairness)
+    if (ol != nullptr) {
+      // Admission wait: the client's send instant to dispatch — queueing
+      // the open load observes before execution even begins.
+      htracer.CompleteSpan(epoch, hsim.now(), trace::Category::kAdmission,
+                           ts, node);
+      if (!int_collectors_.empty()) {
+        int_collectors_[node].RecordAdmissionWait(hsim.now() - epoch);
+      }
+    }
     int attempt = 0;
     bool committed = true;
     // Spans carry `ts` (stable across retries, globally unique) so every
@@ -440,7 +486,7 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
       // exactly `attempt` == max_attempts). Null sink unless capped.
       attempts_h.Record(attempt + (committed ? 1 : 0));
       if (committed) {
-        wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - start,
+        wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - epoch,
                               timers);
         committed_c.Increment();
       } else {
@@ -552,120 +598,11 @@ sim::Task Engine::RunOpenLoopGenerator(NodeId node, uint64_t seed_salt) {
   }
 }
 
-sim::Task Engine::RunOpenLoopSession(NodeId node, WorkerId session,
-                                     uint64_t seed_salt) {
-  // Sessions replace closed-loop workers one-for-one and reuse their seed
-  // formula — only one of the two pools ever exists, so the streams cannot
-  // collide.
-  const uint64_t base_seed =
-      sharded_ ? ShardSeed(config_.seed, node) : config_.seed;
-  Rng rng(base_seed ^ seed_salt ^
-          (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(node) * 1024 +
-                                    session + 1)));
-  if (sharded_) rng.BindOwner(ssim_->RngToken(node));
-  sim::Simulator& hsim = HomeSim(node);
-  trace::Tracer& htracer = HomeTracer(node);
-  Metrics& wmetrics = sharded_ ? eshards_[node]->metrics : metrics_;
-  MetricsRegistry::Counter& committed_c =
-      sharded_ ? *eshards_[node]->committed : *committed_counter_;
-  MetricsRegistry::Counter& aborted_c =
-      sharded_ ? *eshards_[node]->aborted : *aborted_counter_;
-  MetricsRegistry::Counter& gaveup_c =
-      sharded_ ? *eshards_[node]->gaveup : *gaveup_counter_;
-  Histogram& attempts_h =
-      sharded_ ? *eshards_[node]->attempts_hist : *attempts_hist_;
-  OpenLoopNode& ol = *open_loop_[node];
-  std::vector<std::optional<Value64>> results;
-  while (!hsim.stopped()) {
-    if (node_crashed_[node]) co_return;
-    if (ol.size == 0) {
-      // Idle: park on the node's LIFO stack; the generator wakes exactly
-      // one session per admitted arrival.
-      struct ParkAwaiter {
-        OpenLoopNode* ol;
-        bool await_ready() const noexcept { return false; }
-        void await_suspend(std::coroutine_handle<> h) {
-          ol->idle_sessions.push_back(h);
-        }
-        void await_resume() const noexcept {}
-      };
-      co_await ParkAwaiter{&ol};
-      continue;  // re-check stop/crash/queue state after waking
-    }
-    ArrivalRec& slot = ol.ring[ol.head];
-    db::Transaction txn = std::move(slot.txn);
-    const SimTime arrival = slot.arrival;
-    ol.head = (ol.head + 1) % config_.open_loop.admission_queue_bound;
-    --ol.size;
-    if (ol.parked_generator) {
-      // kDelay backpressure: the slot this pop freed un-stalls the source.
-      const std::coroutine_handle<> g = ol.parked_generator;
-      ol.parked_generator = nullptr;
-      hsim.ScheduleResume(0, g);
-    }
-    const SimTime start = hsim.now();
-    TxnTimers timers;
-    const uint64_t ts = PeekTxnId(node);
-    // Admission wait: the client's send instant to dispatch — queueing the
-    // open load observes before execution even begins.
-    htracer.CompleteSpan(arrival, start, trace::Category::kAdmission, ts,
-                         node);
-    if (!int_collectors_.empty()) {
-      int_collectors_[node].RecordAdmissionWait(start - arrival);
-    }
-    int attempt = 0;
-    bool committed = true;
-    trace::Tracer::Span txn_span(&htracer, trace::Category::kTxn, ts, node);
-    for (;;) {
-      const uint64_t txn_id = TakeTxnId(node);
-      results.assign(txn.ops.size(), std::nullopt);
-      trace::Tracer::Span attempt_span(&htracer, trace::Category::kAttempt,
-                                       ts, node,
-                                       static_cast<uint8_t>(
-                                           std::min(attempt + 1, 255)));
-      const bool ok = co_await cc_->ExecuteAttempt(node, txn, txn_id, ts,
-                                                   &results, &timers);
-      attempt_span.End();
-      if (ok) break;
-      if (measuring_) {
-        wmetrics.RecordAbort(txn.cls);
-        aborted_c.Increment();
-      }
-      ++attempt;
-      if (config_.max_attempts > 0 &&
-          static_cast<uint32_t>(attempt) >= config_.max_attempts) {
-        committed = false;
-        break;
-      }
-      const SimTime backoff = BackoffDelay(attempt, rng);
-      timers.backoff += backoff;
-      const SimTime backoff_begin = hsim.now();
-      co_await sim::Delay(hsim, backoff);
-      htracer.CompleteSpan(backoff_begin, hsim.now(),
-                           trace::Category::kBackoff, ts, node,
-                           static_cast<uint8_t>(std::min(attempt, 255)));
-    }
-    txn_span.End();
-    if (measuring_) {
-      attempts_h.Record(attempt + (committed ? 1 : 0));
-      if (committed) {
-        // Latency epoch is the ARRIVAL instant: admission queueing counts,
-        // which is what bends the knee curve upward past saturation.
-        wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - arrival,
-                              timers);
-        committed_c.Increment();
-      } else {
-        gaveup_c.Increment();
-      }
-    }
-  }
-}
-
 void Engine::SpawnNode(NodeId node, uint64_t seed_salt) {
   if (config_.open_loop.enabled) {
     workers_.push_back(RunOpenLoopGenerator(node, seed_salt));
     for (uint16_t s = 0; s < config_.open_loop.sessions_per_node; ++s) {
-      workers_.push_back(RunOpenLoopSession(node, s, seed_salt));
+      workers_.push_back(RunWorker(node, s, seed_salt));
     }
   } else {
     for (uint16_t w = 0; w < config_.workers_per_node; ++w) {

@@ -284,6 +284,12 @@ class Engine {
     std::unique_ptr<net::FaultInjector> injector;
   };
 
+  /// One client of node `node`, looping until the run stops: a closed-loop
+  /// worker drawing transactions from the workload, or (open_loop.enabled)
+  /// a session draining the node's admission ring. Each transaction is
+  /// retried with backoff until it commits or exhausts max_attempts; its
+  /// latency runs from the issue instant (closed loop) or the arrival
+  /// instant (open loop).
   sim::Task RunWorker(NodeId node, WorkerId worker, uint64_t seed_salt = 0);
 
   // -- Open-loop runtime (open_loop.enabled; see DESIGN.md §4i) --
@@ -312,10 +318,6 @@ class Engine {
   /// the (simulated) client population and admits transactions into the
   /// bounded ring — shedding or stalling on overflow per the policy.
   sim::Task RunOpenLoopGenerator(NodeId node, uint64_t seed_salt = 0);
-  /// One session worker draining the node's admission ring; the open-loop
-  /// counterpart of RunWorker, measuring latency from the arrival instant.
-  sim::Task RunOpenLoopSession(NodeId node, WorkerId session,
-                               uint64_t seed_salt = 0);
   /// Spawns node `node`'s coroutines for the configured load mode (closed
   /// loop: workers_per_node workers; open loop: generator + session pool).
   void SpawnNode(NodeId node, uint64_t seed_salt);

@@ -91,6 +91,10 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
     auto it = index_.find(HotItem{op.tuple, op.column});
     if (it == index_.end()) continue;  // cold op: handled by the host
 
+    if (out.txn.instrs.size() == sw::PacketCodec::kMaxInstructions) {
+      // Checked before any source index is narrowed to its 7-bit field.
+      return Status::CapacityExceeded("too many hot ops for one packet");
+    }
     auto opcode = LowerOp(op.type);
     if (!opcode.ok()) return opcode.status();
 
@@ -134,14 +138,8 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
   if (out.txn.instrs.empty()) {
     return Status::InvalidArgument("transaction has no hot ops to compile");
   }
-  if (out.txn.instrs.size() > sw::PacketCodec::kMaxInstructions) {
-    return Status::CapacityExceeded("too many hot ops for one packet");
-  }
 
-  out.predicted_passes = sw::Pipeline::CountPasses(out.txn.instrs);
-  out.txn.is_multipass = out.predicted_passes > 1;
-  out.txn.lock_mask = sw::LockDemandFor(*pipeline_config_, out.txn.instrs);
-  out.txn.touch_mask = sw::TouchMaskFor(*pipeline_config_, out.txn.instrs);
+  sw::StampHeader(*pipeline_config_, sw::PassPlan(out.txn.instrs), &out.txn);
   return out;
 }
 

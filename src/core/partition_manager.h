@@ -83,7 +83,6 @@ class PartitionManager {
     /// transaction (lets callers map results back). Inline like the
     /// instruction list it parallels.
     SmallVector<uint16_t, 8> op_index;
-    uint32_t predicted_passes = 1;
   };
 
   /// Lowers the hot ops of `txn` to a switch transaction. For warm

@@ -8,6 +8,7 @@
 
 #include "sim/future.h"
 #include "switchsim/packet.h"
+#include "switchsim/pipeline.h"
 #include "switchsim/replication.h"
 
 namespace p4db::sw {
@@ -17,7 +18,7 @@ class InflightPool;
 /// Per-transaction pipeline frame: everything the switch model tracks for
 /// one packet between Submit and the final egress. Internal to Pipeline;
 /// lives in an InflightPool and is recycled between transactions (frames
-/// keep their exec_pass capacity across reuse), referenced through
+/// keep their plan capacity across reuse), referenced through
 /// InflightRef with a plain intrusive count — the simulator is
 /// single-threaded, so no atomics and no shared_ptr control block.
 struct Inflight {
@@ -25,9 +26,9 @@ struct Inflight {
 
   SwitchTxn txn;
   SwitchResult result;
-  size_t remaining = 0;  // unexecuted instructions
-  /// Pass in which each instr ran (0 = not yet); inline up to 8 instrs.
-  SmallVector<uint32_t, 8> exec_pass;
+  /// Planned once at Submit; each pass runs the next slice of plan.order.
+  PassPlan plan;
+  size_t next = 0;  // position in plan.order of the next instruction to run
   bool holds_locks = false;
   /// Slot writes this transaction produced, collected pass by pass for the
   /// replication record. Populated only when a sink is installed (K >= 2);
@@ -69,8 +70,7 @@ class InflightPool {
     fl->next_free = nullptr;
     fl->txn = std::move(txn);
     fl->result = SwitchResult{};
-    fl->remaining = fl->txn.instrs.size();
-    fl->exec_pass.assign(fl->txn.instrs.size(), 0);
+    fl->next = 0;
     fl->holds_locks = false;
     fl->rep_writes.clear();
     fl->reply = std::move(reply);

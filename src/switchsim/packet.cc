@@ -91,6 +91,10 @@ StatusOr<SwitchTxn> PacketCodec::Decode(std::span<const uint8_t> bytes) {
       !Get(bytes, &pos, &txn.client_seq) || !Get(bytes, &pos, &txn.epoch)) {
     return Status::InvalidArgument("truncated switch-txn header");
   }
+  if (count > kMaxInstructions) {
+    return Status::InvalidArgument("instruction count exceeds the packet "
+                                   "limit");
+  }
   txn.is_multipass = (flags & 1) != 0;
   txn.int_flags = static_cast<uint8_t>((flags >> 1) & 0x3);
   txn.instrs.reserve(count);

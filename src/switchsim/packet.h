@@ -155,7 +155,9 @@ class PacketCodec {
   static constexpr size_t kInstrBytes = 20;
   /// Ethernet + IP + UDP framing the real system pays per packet.
   static constexpr size_t kFrameOverheadBytes = 42;
-  static constexpr size_t kMaxInstructions = 255;
+  /// Source indices are 7-bit fields with 0x7F meaning "immediate", so a
+  /// packet holds instructions 0..126 only.
+  static constexpr size_t kMaxInstructions = kNoOperandSrc;
   /// INT wire-cost mode: the request (and every recirculation) carries an
   /// INT instruction header, the reply the stamped postcard block. Zero in
   /// postcard mode — the block rides for free.

@@ -3,67 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <tuple>
+
+#include "switchsim/inflight_pool.h"
 
 namespace p4db::sw {
 
 namespace {
-
-/// True if instruction `i` can execute in pass `cur_pass` at its stage,
-/// given where each earlier instruction ran. A PHV operand must have been
-/// produced in a previous pass, or in this pass at a strictly earlier stage.
-bool DepsSatisfied(std::span<const Instruction> instrs, size_t i,
-                   std::span<const uint32_t> exec_pass, uint32_t cur_pass) {
-  const Instruction& in = instrs[i];
-  const auto ok = [&](uint8_t src) {
-    if (exec_pass[src] == 0) return false;
-    if (exec_pass[src] == cur_pass &&
-        instrs[src].addr.stage >= in.addr.stage) {
-      return false;
-    }
-    return true;
-  };
-  if (in.has_src() && !ok(in.operand_src)) return false;
-  if (in.has_src2() && !ok(in.operand_src2)) return false;
-  return true;
-}
-
-/// One pipeline pass: the packet flows through the stages in order; each
-/// register array executes the FIRST not-yet-executed instruction that
-/// targets it (one RegisterAction per array per pass), if its dependencies
-/// allow. Returns the instruction indices executed this pass, in stage
-/// order. Deterministic and shared verbatim between the live data plane
-/// and the node-side pass planner.
-SmallVector<uint32_t, 16> SweepOnePass(std::span<const Instruction> instrs,
-                                       std::span<const uint32_t> exec_pass,
-                                       uint32_t cur_pass) {
-  // Arrays with remaining work, in pipeline order.
-  SmallVector<std::pair<uint8_t, uint8_t>, 16> arrays;  // (stage, reg)
-  for (size_t i = 0; i < instrs.size(); ++i) {
-    if (exec_pass[i] != 0) continue;
-    arrays.emplace_back(instrs[i].addr.stage, instrs[i].addr.reg);
-  }
-  std::sort(arrays.begin(), arrays.end());
-  arrays.erase(std::unique(arrays.begin(), arrays.end()), arrays.end());
-
-  PassPlan pass_view(exec_pass.begin(), exec_pass.end());  // updated live
-  SmallVector<uint32_t, 16> executed;
-  for (const auto& [stage, reg] : arrays) {
-    for (size_t i = 0; i < instrs.size(); ++i) {
-      if (pass_view[i] != 0) continue;
-      if (instrs[i].addr.stage != stage || instrs[i].addr.reg != reg) {
-        continue;
-      }
-      // Only the first pending instruction of the array is considered (the
-      // stage's match-action entry consumes one instruction per packet).
-      if (DepsSatisfied(instrs, i, pass_view, cur_pass)) {
-        pass_view[i] = cur_pass;
-        executed.push_back(static_cast<uint32_t>(i));
-      }
-      break;
-    }
-  }
-  return executed;
-}
 
 uint8_t RegionOf(const PipelineConfig& config, uint8_t stage) {
   if (!config.fine_grained_locks) return kLockLeft;
@@ -72,49 +18,54 @@ uint8_t RegionOf(const PipelineConfig& config, uint8_t stage) {
 
 }  // namespace
 
-uint32_t Pipeline::PlanPasses(std::span<const Instruction> instrs,
-                              PassPlan* exec_pass) {
-  exec_pass->assign(instrs.size(), 0);
-  if (instrs.empty()) return 1;
-  size_t remaining = instrs.size();
-  uint32_t pass = 0;
-  while (remaining > 0) {
-    ++pass;
-    const auto done = SweepOnePass(instrs, *exec_pass, pass);
-    assert(!done.empty() && "pass made no progress");
-    for (uint32_t i : done) (*exec_pass)[i] = pass;
-    remaining -= done.size();
-  }
-  return pass;
-}
-
-uint32_t Pipeline::CountPasses(std::span<const Instruction> instrs) {
-  PassPlan exec_pass;
-  return PlanPasses(instrs, &exec_pass);
-}
-
-uint8_t LockDemandFor(const PipelineConfig& config,
-                      std::span<const Instruction> instrs) {
-  PassPlan exec_pass;
-  Pipeline::PlanPasses(instrs, &exec_pass);
-  uint8_t mask = 0;
+void PassPlan::Build(std::span<const Instruction> instrs) {
+  // Last pass of every register array met so far, keyed (stage << 8) | reg.
+  // Packets touch a handful of arrays; a linear scan needs no allocation.
+  SmallVector<std::pair<uint16_t, uint32_t>, 64> last_pass;
+  passes = 1;
+  pass.clear();
   for (size_t i = 0; i < instrs.size(); ++i) {
-    if (exec_pass[i] > 1) mask |= RegionOf(config, instrs[i].addr.stage);
+    const Instruction& in = instrs[i];
+    const uint16_t array =
+        static_cast<uint16_t>((in.addr.stage << 8) | in.addr.reg);
+    auto last = std::find_if(last_pass.begin(), last_pass.end(),
+                             [&](const auto& a) { return a.first == array; });
+    // One RegisterAction per array per pass, in program order.
+    uint32_t p = (last == last_pass.end() ? 0 : last->second) + 1;
+    for (const uint8_t d : {in.operand_src, in.operand_src2}) {
+      if (d == kNoOperandSrc) continue;
+      assert(d < i && "operand source must be an earlier instruction");
+      // A PHV operand produced at the same or a later stage is only
+      // readable from the next pass on.
+      p = std::max(p, pass[d] + (instrs[d].addr.stage >= in.addr.stage));
+    }
+    if (last == last_pass.end()) {
+      last_pass.emplace_back(array, p);
+    } else {
+      last->second = p;
+    }
+    pass.push_back(p);
+    passes = std::max(passes, p);
   }
-  return mask;
+  order.clear();
+  for (uint32_t i = 0; i < instrs.size(); ++i) order.push_back(i);
+  // Keys are unique: passes strictly increase along each array.
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return std::tie(pass[a], instrs[a].addr.stage, instrs[a].addr.reg) <
+           std::tie(pass[b], instrs[b].addr.stage, instrs[b].addr.reg);
+  });
 }
 
-uint8_t TouchMaskFor(const PipelineConfig& config,
-                     std::span<const Instruction> instrs) {
-  uint8_t mask = 0;
-  for (const Instruction& in : instrs) {
-    mask |= RegionOf(config, in.addr.stage);
+void StampHeader(const PipelineConfig& config, const PassPlan& plan,
+                 SwitchTxn* txn) {
+  txn->is_multipass = plan.passes > 1;
+  txn->lock_mask = 0;
+  txn->touch_mask = 0;
+  for (size_t i = 0; i < txn->instrs.size(); ++i) {
+    const uint8_t region = RegionOf(config, txn->instrs[i].addr.stage);
+    txn->touch_mask |= region;
+    if (plan.pass[i] > 1) txn->lock_mask |= region;
   }
-  return mask;
-}
-
-uint8_t Pipeline::LockDemand(std::span<const Instruction> instrs) const {
-  return LockDemandFor(config_, instrs);
 }
 
 Pipeline::Pipeline(sim::Simulator* sim, const PipelineConfig& config,
@@ -170,18 +121,18 @@ Status Pipeline::Validate(const SwitchTxn& txn) const {
           "operand_src must reference an earlier instruction");
     }
   }
-  const uint32_t passes = CountPasses(txn.instrs);
-  if (txn.is_multipass != (passes > 1)) {
+  const PassPlan plan(txn.instrs);
+  SwitchTxn stamped = txn;
+  StampHeader(config_, plan, &stamped);
+  if (txn.is_multipass != stamped.is_multipass) {
     return Status::InvalidArgument("is_multipass flag does not match access "
                                    "pattern (passes=" +
-                                   std::to_string(passes) + ")");
+                                   std::to_string(plan.passes) + ")");
   }
-  const uint8_t demand = LockDemandFor(config_, txn.instrs);
-  if ((txn.lock_mask & demand) != demand) {
+  if ((txn.lock_mask & stamped.lock_mask) != stamped.lock_mask) {
     return Status::InvalidArgument("lock_mask does not cover pending stages");
   }
-  const uint8_t touch = TouchMaskFor(config_, txn.instrs);
-  if ((txn.touch_mask & touch) != touch) {
+  if ((txn.touch_mask & stamped.touch_mask) != stamped.touch_mask) {
     return Status::InvalidArgument("touch_mask does not cover touched "
                                    "stages");
   }
@@ -192,6 +143,9 @@ sim::Future<SwitchResult> Pipeline::Submit(SwitchTxn txn) {
   sim::Promise<SwitchResult> reply(sim_);
   auto future = reply.future();
   InflightRef fl(pool_->Acquire(std::move(txn), std::move(reply)));
+  // Planned from the instructions as received: the sender's header can
+  // only mislabel the locks it takes, never which instruction runs when.
+  fl->plan.Build(fl->txn.instrs);
   fl->result.origin_node = fl->txn.origin_node;
   fl->result.client_seq = fl->txn.client_seq;
   fl->result.values.assign(fl->txn.instrs.size(), 0);
@@ -353,14 +307,22 @@ void Pipeline::Arrive(InflightRef fl) {
 }
 
 bool Pipeline::ExecutePass(Inflight& fl) {
+  // This pass runs the next slice of the plan's order: every instruction
+  // planned for it, in (stage, reg) order as the packet meets the arrays.
   const uint32_t cur_pass = fl.result.passes;
-  const auto executable = SweepOnePass(fl.txn.instrs, fl.exec_pass, cur_pass);
+  const PassPlan& plan = fl.plan;
+  const size_t first = fl.next;
+  size_t end = first;
+  while (end < plan.order.size() && plan.pass[plan.order[end]] == cur_pass) {
+    ++end;
+  }
+  const std::span<const uint32_t> executable(plan.order.data() + first,
+                                             end - first);
   for (uint32_t i : executable) {
     bool constraint_ok = true;
     fl.result.values[i] =
         ApplyInstruction(fl, fl.txn.instrs[i], &constraint_ok);
     fl.result.constraint_ok[i] = constraint_ok;
-    fl.exec_pass[i] = cur_pass;
     if (!constraint_ok) {
       ++stats_.constrained_write_failures;
       mirror_.constrained_write_failures->Increment();
@@ -400,8 +362,8 @@ bool Pipeline::ExecutePass(Inflight& fl) {
       }
     }
   }
-  fl.remaining -= executable.size();
-  return fl.remaining == 0;
+  fl.next = end;
+  return end == plan.order.size();
 }
 
 Value64 Pipeline::ApplyInstruction(const Inflight& fl, const Instruction& in,

@@ -2,7 +2,6 @@
 #define P4DB_SWITCHSIM_PIPELINE_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -16,29 +15,53 @@
 #include "common/types.h"
 #include "sim/future.h"
 #include "sim/simulator.h"
-#include "switchsim/inflight_pool.h"
 #include "switchsim/instruction.h"
 #include "switchsim/packet.h"
 #include "switchsim/register_file.h"
+#include "switchsim/replication.h"
 
 namespace p4db::sw {
 
-/// Per-instruction pass assignment (1-based; 0 = not yet planned). Inline
-/// capacity covers every packet the compiler emits (<= 255 instructions,
-/// virtually always <= 64); planning never allocates on the hot path.
-using PassPlan = SmallVector<uint32_t, 64>;
+struct Inflight;
+class InflightPool;
+class InflightRef;
 
-/// Regions (kLockLeft/kLockRight) containing registers that stay PENDING
-/// after the first pipeline pass — the locks a multi-pass transaction must
-/// acquire. Zero for single-pass sequences. (Free functions so the
-/// node-side compiler can compute headers without a Pipeline instance.)
-uint8_t LockDemandFor(const PipelineConfig& config,
-                      std::span<const Instruction> instrs);
+/// The pipeline pass in which each instruction of one packet executes, and
+/// the execution order (DESIGN.md §4, "Pass planning"). One recurrence over
+/// the instructions in index order:
+///
+///   pass[i] = max(last_pass[array(i)] + 1,
+///                 max over sources d of pass[d] + (stage[d] >= stage[i]))
+///
+/// The node-side compiler plans once to stamp the header; the switch plans
+/// every arriving packet once itself and never takes a plan from a sender.
+/// The inline capacity covers virtually every packet, so planning does not
+/// allocate on the hot path.
+struct PassPlan {
+  PassPlan() = default;
+  explicit PassPlan(std::span<const Instruction> instrs) { Build(instrs); }
 
-/// Regions touched by ANY instruction of the sequence: these must be free
-/// of other transactions' locks at admission.
-uint8_t TouchMaskFor(const PipelineConfig& config,
-                     std::span<const Instruction> instrs);
+  /// Plans `instrs`, reusing this plan's storage. Operand sources must name
+  /// earlier instructions — the packet contract PacketCodec::Decode and
+  /// Pipeline::Validate enforce.
+  void Build(std::span<const Instruction> instrs);
+
+  /// Number of passes; an empty sequence still takes one.
+  uint32_t passes = 1;
+  /// pass[i]: the 1-based pass in which instruction i executes.
+  SmallVector<uint32_t, 64> pass;
+  /// Instruction indices in execution order, sorted by (pass, stage, reg):
+  /// within a pass the packet meets the arrays in pipeline order.
+  SmallVector<uint32_t, 64> order;
+};
+
+/// Stamps the admission header of `txn` from `plan` (the plan of
+/// txn->instrs): is_multipass; lock_mask, the regions (kLockLeft /
+/// kLockRight) holding instructions that stay pending after the first pass;
+/// touch_mask, the regions any instruction touches, which must be free of
+/// other transactions' locks at admission.
+void StampHeader(const PipelineConfig& config, const PassPlan& plan,
+                 SwitchTxn* txn);
 
 /// Runtime counters exposed by the pipeline.
 struct PipelineStats {
@@ -100,29 +123,11 @@ class Pipeline {
   /// business.
   sim::Future<SwitchResult> Submit(SwitchTxn txn);
 
-  /// Validates that a transaction only touches installed resources and
-  /// marked multipass iff it cannot run in a single pass. Used by tests and
-  /// by the control plane when a program is deployed.
+  /// Validates that a transaction only touches installed resources, that
+  /// its operand sources name earlier instructions, and that its header
+  /// matches what StampHeader derives from its plan (is_multipass exactly;
+  /// lock_mask and touch_mask at least cover it). Used by tests.
   Status Validate(const SwitchTxn& txn) const;
-
-  /// Computes the number of pipeline passes this instruction sequence needs
-  /// under the PISA access rules (the same per-stage sweep the data plane
-  /// performs). Exposed so the node-side compiler provably agrees with the
-  /// switch.
-  static uint32_t CountPasses(std::span<const Instruction> instrs);
-  static uint32_t CountPasses(std::initializer_list<Instruction> instrs) {
-    return CountPasses(
-        std::span<const Instruction>(instrs.begin(), instrs.size()));
-  }
-
-  /// Full pass plan: fills exec_pass[i] with the 1-based pass in which
-  /// instruction i executes; returns the number of passes.
-  static uint32_t PlanPasses(std::span<const Instruction> instrs,
-                             PassPlan* exec_pass);
-
-  /// Pending-region lock mask required by the given instructions under this
-  /// pipeline's locking mode (see LockDemandFor).
-  uint8_t LockDemand(std::span<const Instruction> instrs) const;
 
   RegisterFile& registers() { return registers_; }
   const RegisterFile& registers() const { return registers_; }

@@ -162,9 +162,7 @@ sw::SwitchTxn ArmedTxn(std::vector<sw::Instruction> instrs,
                        const sw::PipelineConfig& cfg) {
   sw::SwitchTxn txn;
   txn.instrs = std::move(instrs);
-  txn.is_multipass = sw::Pipeline::CountPasses(txn.instrs) > 1;
-  txn.lock_mask = sw::LockDemandFor(cfg, txn.instrs);
-  txn.touch_mask = sw::TouchMaskFor(cfg, txn.instrs);
+  sw::StampHeader(cfg, sw::PassPlan(txn.instrs), &txn);
   txn.int_flags = sw::SwitchTxn::kIntEnabled;
   return txn;
 }

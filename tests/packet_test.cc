@@ -99,6 +99,36 @@ TEST(PacketCodecTest, ForwardOperandSrcRejected) {
   EXPECT_FALSE(PacketCodec::Decode(bytes).ok());
 }
 
+// A packet of `n` reads, one per slot of stage 0, array 0.
+SwitchTxn ReadsTxn(size_t n) {
+  SwitchTxn txn;
+  for (size_t i = 0; i < n; ++i) {
+    txn.instrs.push_back(Instruction{
+        OpCode::kRead, RegisterAddress{0, 0, static_cast<uint32_t>(i)}, 0});
+  }
+  return txn;
+}
+
+TEST(PacketCodecTest, FullPacketKeepsItsLastSource) {
+  SwitchTxn txn = ReadsTxn(PacketCodec::kMaxInstructions);
+  txn.instrs.back().op = OpCode::kAdd;
+  txn.instrs.back().operand_src = 125;
+  const auto decoded = PacketCodec::Decode(PacketCodec::Encode(txn));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->instrs, txn.instrs);
+  EXPECT_EQ(decoded->instrs.back().operand_src, 125);
+}
+
+TEST(PacketCodecTest, OverCapInstructionCountRejected) {
+  // 0x7F is the "immediate" source, so instruction 127 could never be
+  // named as a source: a count above the cap is a malformed packet.
+  const auto bytes =
+      PacketCodec::Encode(ReadsTxn(PacketCodec::kMaxInstructions + 1));
+  ASSERT_EQ(bytes[4], PacketCodec::kMaxInstructions + 1);
+  EXPECT_EQ(PacketCodec::Decode(bytes).status().code(),
+            Code::kInvalidArgument);
+}
+
 TEST(PacketCodecTest, WireSizeIncludesFraming) {
   const SwitchTxn txn = SampleTxn();
   EXPECT_EQ(PacketCodec::WireSize(txn),

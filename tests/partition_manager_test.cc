@@ -131,7 +131,7 @@ TEST_F(PartitionManagerTest, CompileLowersOpsToInstructions) {
   EXPECT_EQ(c->txn.instrs[1].op, sw::OpCode::kAdd);
   EXPECT_EQ(c->txn.instrs[1].operand, 9);
   EXPECT_FALSE(c->txn.is_multipass);
-  EXPECT_EQ(c->predicted_passes, 1u);
+  EXPECT_EQ(sw::PassPlan(c->txn.instrs).passes, 1u);
 }
 
 TEST_F(PartitionManagerTest, CompileKeepsProgramOrderAndStaysSinglePass) {
@@ -160,7 +160,7 @@ TEST_F(PartitionManagerTest, CompileSameArrayCollisionIsMultipass) {
   auto c = pm_.Compile(txn, {}, 0, 0);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->txn.is_multipass);
-  EXPECT_EQ(c->predicted_passes, 2u);
+  EXPECT_EQ(sw::PassPlan(c->txn.instrs).passes, 2u);
 }
 
 TEST_F(PartitionManagerTest, CompileRewiresDependencies) {
@@ -202,6 +202,27 @@ TEST_F(PartitionManagerTest, CompileFailsOnUnresolvedColdDependency) {
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 100}), hot};
   std::vector<std::optional<Value64>> resolved = {std::nullopt, std::nullopt};
   EXPECT_FALSE(pm_.Compile(txn, resolved, 0, 0).ok());
+}
+
+TEST_F(PartitionManagerTest, CompileCapsHotOpsAtThePacketLimit) {
+  // Source indices are 7-bit wire fields and 0x7F means "immediate", so a
+  // packet holds 127 instructions. The 127th may still read instruction 125;
+  // a 128th hot op must be refused instead of being silently rewired.
+  db::Transaction txn;
+  for (Key k = 0; k < 128; ++k) {
+    RegisterHot(k, 0, static_cast<uint8_t>(k % 4), 0,
+                static_cast<uint32_t>(k / 4));
+    txn.ops.push_back(Op(db::OpType::kAdd, TupleId{table_, k}, 1));
+  }
+  txn.ops[126].operand_src = 125;
+  db::Transaction fits = txn;
+  fits.ops.pop_back();
+  auto c = pm_.Compile(fits, {}, 0, 0);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_EQ(c->txn.instrs.size(), sw::PacketCodec::kMaxInstructions);
+  EXPECT_EQ(c->txn.instrs.back().operand_src, 125);
+  EXPECT_EQ(pm_.Compile(txn, {}, 0, 0).status().code(),
+            Code::kCapacityExceeded);
 }
 
 TEST_F(PartitionManagerTest, CompileRejectsNoHotOps) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -13,11 +14,58 @@
 namespace p4db::sw {
 namespace {
 
-// Property suite for the pass planner: the per-stage sweep that decides in
-// which pipeline pass each instruction executes (and therefore what is
-// single- vs multi-pass) must obey the PISA memory model for ANY
-// instruction sequence, and the live data plane must execute exactly the
-// planned schedule.
+// Property suite for the pass planner (PassPlan): the recurrence that
+// decides in which pipeline pass each instruction executes (and therefore
+// what is single- vs multi-pass) must obey the PISA memory model for ANY
+// instruction sequence, must agree with a literal stage-by-stage simulation
+// of the data plane, and the live pipeline must execute exactly the plan.
+
+// Reference model: the data plane simulated pass by pass. In each pass the
+// packet flows through the register arrays in (stage, reg) order, and each
+// array executes the FIRST not-yet-executed instruction targeting it, if
+// its PHV operands were produced in a previous pass or at a strictly
+// earlier stage of this pass. Quadratic and obviously faithful; the planner
+// must reproduce its per-instruction passes and execution order exactly.
+struct ReferencePlan {
+  std::vector<uint32_t> pass;   // 1-based, per instruction
+  std::vector<uint32_t> order;  // instruction indices in execution order
+};
+
+ReferencePlan SweepReference(const std::vector<Instruction>& instrs) {
+  ReferencePlan ref;
+  ref.pass.assign(instrs.size(), 0);
+  const auto ready = [&](uint8_t src, uint8_t stage, uint32_t cur_pass) {
+    if (src == kNoOperandSrc) return true;
+    if (ref.pass[src] == 0) return false;
+    return ref.pass[src] < cur_pass || instrs[src].addr.stage < stage;
+  };
+  for (uint32_t cur_pass = 1; ref.order.size() < instrs.size(); ++cur_pass) {
+    std::set<std::pair<uint8_t, uint8_t>> arrays;  // (stage, reg), pending
+    for (size_t i = 0; i < instrs.size(); ++i) {
+      if (ref.pass[i] == 0) {
+        arrays.emplace(instrs[i].addr.stage, instrs[i].addr.reg);
+      }
+    }
+    const size_t before = ref.order.size();
+    for (const auto& [stage, reg] : arrays) {
+      for (size_t i = 0; i < instrs.size(); ++i) {
+        const Instruction& in = instrs[i];
+        if (ref.pass[i] != 0 || in.addr.stage != stage || in.addr.reg != reg) {
+          continue;
+        }
+        if (ready(in.operand_src, stage, cur_pass) &&
+            ready(in.operand_src2, stage, cur_pass)) {
+          ref.pass[i] = cur_pass;
+          ref.order.push_back(static_cast<uint32_t>(i));
+        }
+        break;  // one RegisterAction per array per pass
+      }
+    }
+    EXPECT_GT(ref.order.size(), before) << "pass made no progress";
+    if (ref.order.size() == before) break;
+  }
+  return ref;
+}
 
 PipelineConfig SmallConfig() {
   PipelineConfig cfg;
@@ -57,8 +105,9 @@ TEST_P(PassPlanPropertyTest, PlansObeyTheMemoryModel) {
   const PipelineConfig cfg = SmallConfig();
   for (int iter = 0; iter < 60; ++iter) {
     const auto instrs = RandomInstrs(rng, cfg, 12);
-    PassPlan exec_pass;
-    const uint32_t passes = Pipeline::PlanPasses(instrs, &exec_pass);
+    const PassPlan plan(instrs);
+    const uint32_t passes = plan.passes;
+    const auto& exec_pass = plan.pass;
 
     // (a) Every instruction lands in exactly one pass in [1, passes].
     ASSERT_EQ(exec_pass.size(), instrs.size());
@@ -105,6 +154,23 @@ TEST_P(PassPlanPropertyTest, PlansObeyTheMemoryModel) {
   }
 }
 
+TEST_P(PassPlanPropertyTest, PlannerMatchesTheSweepReference) {
+  Rng rng(GetParam() * 7);
+  const PipelineConfig cfg = SmallConfig();
+  PassPlan plan;  // reused across sequences, as the pipeline's frames are
+  for (int iter = 0; iter < 200; ++iter) {
+    const auto instrs = RandomInstrs(rng, cfg, 16);
+    const ReferencePlan ref = SweepReference(instrs);
+    plan.Build(instrs);
+    ASSERT_EQ(std::vector<uint32_t>(plan.pass.begin(), plan.pass.end()),
+              ref.pass);
+    ASSERT_EQ(std::vector<uint32_t>(plan.order.begin(), plan.order.end()),
+              ref.order);
+    EXPECT_EQ(plan.passes, *std::max_element(ref.pass.begin(),
+                                             ref.pass.end()));
+  }
+}
+
 struct ResultBox {
   std::optional<SwitchResult> result;
 };
@@ -121,16 +187,14 @@ TEST_P(PassPlanPropertyTest, LiveExecutionMatchesThePlan) {
     Pipeline pipe(&sim, cfg);
     SwitchTxn txn;
     txn.instrs = RandomInstrs(rng, cfg, 10);
-    const uint32_t planned = Pipeline::CountPasses(txn.instrs);
-    txn.is_multipass = planned > 1;
-    txn.lock_mask = LockDemandFor(cfg, txn.instrs);
-    txn.touch_mask = TouchMaskFor(cfg, txn.instrs);
+    const PassPlan plan(txn.instrs);
+    StampHeader(cfg, plan, &txn);
     ASSERT_TRUE(pipe.Validate(txn).ok());
     ResultBox box;
     sim::Task t = Collect(pipe, std::move(txn), &box);
     sim.Run();
     ASSERT_TRUE(box.result.has_value());
-    EXPECT_EQ(box.result->passes, planned);
+    EXPECT_EQ(box.result->passes, plan.passes);
     EXPECT_EQ(pipe.held_locks(), 0);
   }
 }

@@ -41,9 +41,7 @@ Instruction Make(OpCode op, uint8_t stage, uint8_t reg, uint32_t index,
 SwitchTxn TxnOf(std::vector<Instruction> instrs, const PipelineConfig& cfg) {
   SwitchTxn txn;
   txn.instrs = std::move(instrs);
-  txn.is_multipass = Pipeline::CountPasses(txn.instrs) > 1;
-  txn.lock_mask = LockDemandFor(cfg, txn.instrs);
-  txn.touch_mask = TouchMaskFor(cfg, txn.instrs);
+  StampHeader(cfg, PassPlan(txn.instrs), &txn);
   return txn;
 }
 
@@ -177,24 +175,29 @@ TEST(PipelineOpsTest, TwoMetadataSourcesCombine) {
 
 // ------------------------------------------------------- pass counting ---
 
+uint32_t Passes(std::initializer_list<Instruction> instrs) {
+  return PassPlan(std::span<const Instruction>(instrs.begin(), instrs.size()))
+      .passes;
+}
+
 TEST(PassCountTest, IncreasingStagesIsSinglePass) {
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 0, 0, 0),
-                                   Make(OpCode::kRead, 1, 0, 0),
-                                   Make(OpCode::kRead, 3, 1, 0)}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 0, 0, 0),
+                   Make(OpCode::kRead, 1, 0, 0),
+                   Make(OpCode::kRead, 3, 1, 0)}),
             1u);
 }
 
 TEST(PassCountTest, SameStageDifferentArraysIsSinglePass) {
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 2, 0, 0),
-                                   Make(OpCode::kRead, 2, 1, 0)}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 2, 0, 0),
+                   Make(OpCode::kRead, 2, 1, 0)}),
             1u);
 }
 
 TEST(PassCountTest, SameArrayDifferentTuplesNeedsTwoPasses) {
   // One RegisterAction per register array per pass: co-located tuples force
   // recirculation — exactly what the declustered layout avoids.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 2, 0, 0),
-                                   Make(OpCode::kRead, 2, 0, 1)}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 2, 0, 0),
+                   Make(OpCode::kRead, 2, 0, 1)}),
             2u);
 }
 
@@ -202,44 +205,44 @@ TEST(PassCountTest, ProgramOrderAgainstStageOrderStillSinglePass) {
   // The data plane executes out of order: each stage picks the instruction
   // targeting it as the packet flows, so independent accesses need no
   // particular order in the packet.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 3, 0, 0),
-                                   Make(OpCode::kWrite, 1, 0, 0, 1)}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 3, 0, 0),
+                   Make(OpCode::kWrite, 1, 0, 0, 1)}),
             1u);
 }
 
 TEST(PassCountTest, SameTupleTwiceNeedsTwoPasses) {
   // Section 4.1: "multiple operations on the same tuple" always multi-pass.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 1, 0, 7),
-                                   Make(OpCode::kWrite, 1, 0, 7, 5)}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 1, 0, 7),
+                   Make(OpCode::kWrite, 1, 0, 7, 5)}),
             2u);
 }
 
 TEST(PassCountTest, DependencyInSameStageNeedsTwoPasses) {
   Instruction consume = Make(OpCode::kAdd, 1, 1, 0, 0);
   consume.operand_src = 0;
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 1, 0, 0), consume}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 1, 0, 0), consume}),
             2u);
 }
 
 TEST(PassCountTest, DependencyAgainstStageOrderNeedsTwoPasses) {
   Instruction consume = Make(OpCode::kAdd, 0, 0, 0, 0);
   consume.operand_src = 0;
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 2, 0, 0), consume}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 2, 0, 0), consume}),
             2u);
 }
 
 TEST(PassCountTest, ArrayReusePairsUpAcrossPasses) {
   // Two tuples in array (3,0) and two in (0,0): each pass serves one per
   // array, so two passes suffice regardless of packet order.
-  EXPECT_EQ(Pipeline::CountPasses({Make(OpCode::kRead, 3, 0, 0),
-                                   Make(OpCode::kRead, 0, 0, 0),
-                                   Make(OpCode::kRead, 3, 0, 1),
-                                   Make(OpCode::kRead, 0, 0, 1)}),
+  EXPECT_EQ(Passes({Make(OpCode::kRead, 3, 0, 0),
+                   Make(OpCode::kRead, 0, 0, 0),
+                   Make(OpCode::kRead, 3, 0, 1),
+                   Make(OpCode::kRead, 0, 0, 1)}),
             2u);
 }
 
 TEST(PassCountTest, EmptyIsOnePass) {
-  EXPECT_EQ(Pipeline::CountPasses({}), 1u);
+  EXPECT_EQ(Passes({}), 1u);
 }
 
 // ---------------------------------------------------------- validation ---
