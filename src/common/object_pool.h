@@ -14,9 +14,10 @@ namespace p4db {
 /// through to plain new/delete (class 0).
 ///
 /// A 16-byte header in front of the payload records the class, keeping the
-/// payload max_align_t-aligned. Freed blocks are retained for the process
-/// lifetime (they stay reachable through the static free lists, so leak
-/// checkers see them).
+/// payload max_align_t-aligned. Freed blocks are retained until their
+/// thread exits: a thread-local holder returns its lists to the system
+/// then, and blocks that thread allocates or frees afterwards (late
+/// thread-local or static destructors) bypass the lists.
 ///
 /// The free lists are thread-local: each simulation thread recycles through
 /// its own lists with zero synchronization, exactly as fast as the old
@@ -31,11 +32,11 @@ class FreePool {
     const size_t total = bytes + kHeaderBytes;
     const size_t cls = (total + kGranularity - 1) / kGranularity;
     void* raw;
-    if (cls >= kNumClasses) {
+    if (cls >= kNumClasses || retired_) {
       raw = ::operator new(total);
       *static_cast<size_t*>(raw) = 0;
     } else {
-      void*& head = free_lists_[cls];
+      void*& head = lists_.heads[cls];
       if (head != nullptr) {
         raw = head;
         head = *static_cast<void**>(raw);
@@ -51,12 +52,12 @@ class FreePool {
     if (p == nullptr) return;
     void* raw = static_cast<unsigned char*>(p) - kHeaderBytes;
     const size_t cls = *static_cast<size_t*>(raw);
-    if (cls == 0) {
+    if (cls == 0 || retired_) {
       ::operator delete(raw);
       return;
     }
-    *static_cast<void**>(raw) = free_lists_[cls];
-    free_lists_[cls] = raw;
+    *static_cast<void**>(raw) = lists_.heads[cls];
+    lists_.heads[cls] = raw;
   }
 
   static constexpr size_t kHeaderBytes = 16;
@@ -64,8 +65,29 @@ class FreePool {
   static constexpr size_t kNumClasses = 65;  // classes 1..64 => up to 4 KiB
 
  private:
-  static inline thread_local void* free_lists_[kNumClasses] = {};
+  /// This thread's free lists; the destructor drains them at thread exit.
+  struct FreeLists {
+    void* heads[kNumClasses] = {};
+    ~FreeLists() {
+      retired_ = true;
+      for (void*& head : heads) {
+        while (head != nullptr) {
+          void* next = *static_cast<void**>(head);
+          ::operator delete(head);
+          head = next;
+        }
+      }
+    }
+  };
+
+  static thread_local FreeLists lists_;
+  /// Set once lists_ has been drained; the pool then bypasses the lists.
+  static inline thread_local bool retired_ = false;
 };
+
+// Defined out of line: FreeLists' member initializer needs the complete
+// enclosing class.
+inline thread_local FreePool::FreeLists FreePool::lists_;
 
 /// Minimal std-compatible allocator over FreePool, for
 /// std::allocate_shared of promise shared states (object + control block

@@ -53,23 +53,15 @@ class ConcurrencyControl {
       std::vector<std::optional<Value64>>* results, TxnTimers* timers);
 
   /// Points the chaos-event counters at the real registry series. Called by
-  /// the Engine when a fault schedule arms; until then both stay on the
+  /// the Engine when a fault schedule arms; until then they stay on the
   /// process-wide discard sink so fault-free runs never register (and never
-  /// dump) the chaos-only keys. In legacy mode every node shares the one
-  /// cluster-wide failover counter.
-  void BindChaosCounters(MetricsRegistry* metrics) {
-    txn_timeouts_ = &metrics->counter("engine.txn_timeouts");
-    MetricsRegistry::Counter* f = &metrics->counter("engine.failovers");
-    for (auto& entry : failovers_) entry = f;
-  }
-
-  /// Sharded-mode variant: timeouts fire while the coroutine is parked at
-  /// the switch (they count into the switch shard's registry), failovers
-  /// fire on the home shard (each node counts into its own shard's
-  /// registry). The merged dump sums them back into the same series names.
-  void BindChaosCountersSharded(
-      MetricsRegistry* switch_metrics,
-      const std::vector<MetricsRegistry*>& node_metrics) {
+  /// dump) the chaos-only keys. Timeouts fire while the coroutine is parked
+  /// at the switch (they count into the switch's home registry), failovers
+  /// on the home node (each node counts into its own home registry). The
+  /// merged dump sums them back into the same series names; with one shared
+  /// registry every node simply shares the one failover counter.
+  void BindChaosCounters(MetricsRegistry* switch_metrics,
+                         const std::vector<MetricsRegistry*>& node_metrics) {
     txn_timeouts_ = &switch_metrics->counter("engine.txn_timeouts");
     for (size_t n = 0; n < failovers_.size(); ++n) {
       failovers_[n] = &node_metrics[n]->counter("engine.failovers");

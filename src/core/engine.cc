@@ -100,14 +100,18 @@ Engine::Engine(const SystemConfig& config)
     ssim_ = std::make_unique<sim::ShardedSimulator>(shard_count, lookahead);
     std::vector<trace::Tracer*> shard_tracers;
     std::vector<MetricsRegistry*> shard_registries;
-    shard_tracers.reserve(shard_count);
-    shard_registries.reserve(shard_count);
-    eshards_.reserve(shard_count);
     for (uint32_t s = 0; s < shard_count; ++s) {
       auto es = std::make_unique<EngineShard>();
-      es->tracer = std::make_unique<trace::Tracer>(&ssim_->shard(s));
-      shard_tracers.push_back(es->tracer.get());
-      shard_registries.push_back(&es->registry);
+      es->sim = &ssim_->shard(s);
+      es->own_tracer = std::make_unique<trace::Tracer>(es->sim);
+      es->tracer = es->own_tracer.get();
+      es->registry = &es->own_registry;
+      es->seed_base = ShardSeed(config_.seed, s);
+      es->rng_token = ssim_->RngToken(s);
+      es->id_stride = config_.num_nodes;
+      es->id_offset = s + 1;
+      shard_tracers.push_back(es->tracer);
+      shard_registries.push_back(es->registry);
       eshards_.push_back(std::move(es));
     }
     router_ = std::make_unique<ShardRouter>(ssim_.get(), config_.network,
@@ -119,6 +123,15 @@ Engine::Engine(const SystemConfig& config)
       // pure function of the configuration.
       router_->EnableBatchCounters(shard_registries);
     }
+  } else {
+    // One shard for the whole cluster, aliasing the engine's own simulator,
+    // registry and tracer: the historical seeds and id sequence.
+    auto es = std::make_unique<EngineShard>();
+    es->sim = &sim_;
+    es->registry = &registry_;
+    es->tracer = &tracer_;
+    es->seed_base = config_.seed;
+    eshards_.push_back(std::move(es));
   }
 
   // Under OCC the lock manager only serves short validation-phase locks;
@@ -127,27 +140,25 @@ Engine::Engine(const SystemConfig& config)
                                   ? db::CcScheme::kNoWait
                                   : config_.cc_scheme;
   for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    // Sharded mode binds each node's lock manager and WAL to its home
-    // shard: the simulator that resumes its waiters and the registry its
-    // series merge from are both shard-local.
+    // Each node's lock manager and WAL bind to its home shard: the
+    // simulator that resumes its waiters and the registry its series
+    // merge from.
+    EngineShard& home = Home(n);
     lock_managers_.push_back(std::make_unique<db::LockManager>(
-        sharded_ ? &ssim_->shard(n) : &sim_, scheme,
-        sharded_ ? &eshards_[n]->registry : &registry_, "lock.node"));
-    wals_.push_back(std::make_unique<db::Wal>(
-        sharded_ ? &eshards_[n]->registry : &registry_));
+        home.sim, scheme, home.registry, "lock.node"));
+    wals_.push_back(std::make_unique<db::Wal>(home.registry));
   }
   switch_lm_ = std::make_unique<db::LockManager>(
-      sharded_ ? &ssim_->shard(switch_shard()) : &sim_, scheme,
-      sharded_ ? &eshards_[switch_shard()]->registry : &registry_,
-      "lock.switch");
+      SwitchHome(0).sim, scheme, SwitchHome(0).registry, "lock.switch");
   for (uint16_t k = 0; k < config_.num_switches; ++k) {
-    // Pipeline k lives on shard num_nodes + k when sharded; with one switch
-    // this is exactly the historical switch shard.
-    const uint32_t shard = switch_shard() + k;
+    // Pipeline k lives on shard num_nodes + k when sharded and emits into
+    // that shard's ring; network spans are the router's job (each leg lands
+    // on the shard that models it).
+    EngineShard& home = SwitchHome(k);
     pipelines_.push_back(std::make_unique<sw::Pipeline>(
-        sharded_ ? &ssim_->shard(shard) : &sim_, config_.pipeline,
-        sharded_ ? &eshards_[shard]->registry : &registry_, k));
+        home.sim, config_.pipeline, home.registry, k));
     pipelines_.back()->set_trace_track(net::Endpoint::Switch(k).index);
+    pipelines_.back()->set_tracer(home.tracer);
     // Only the serving primary stamps INT postcards; backups flip on at
     // promotion (and a rejoined ex-primary stays off until promoted again).
     if (k != 0) pipelines_.back()->set_serving(false);
@@ -155,28 +166,18 @@ Engine::Engine(const SystemConfig& config)
         std::make_unique<sw::ControlPlane>(pipelines_.back().get()));
   }
 
-  committed_counter_ = &registry_.counter("engine.committed");
-  aborted_counter_ = &registry_.counter("engine.aborted_attempts");
-  // Retry-cap series exist only when the cap is on, so unbounded-retry runs
-  // dump exactly the historical key set.
-  gaveup_counter_ = config_.max_attempts > 0
-                        ? &registry_.counter("engine.txn_gaveup")
-                        : &MetricsRegistry::NullCounter();
-  attempts_hist_ = config_.max_attempts > 0
-                       ? &registry_.histogram("engine.txn_attempts")
-                       : &MetricsRegistry::NullHistogram();
-  if (sharded_) {
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      EngineShard& es = *eshards_[n];
-      es.committed = &es.registry.counter("engine.committed");
-      es.aborted = &es.registry.counter("engine.aborted_attempts");
-      es.gaveup = config_.max_attempts > 0
-                      ? &es.registry.counter("engine.txn_gaveup")
-                      : &es.discard_counter;
-      es.attempts_hist = config_.max_attempts > 0
-                             ? &es.registry.histogram("engine.txn_attempts")
-                             : &es.discard_hist;
-    }
+  for (uint32_t s = 0; s < NodeShardCount(); ++s) {
+    EngineShard& es = *eshards_[s];
+    es.committed = &es.registry->counter("engine.committed");
+    es.aborted = &es.registry->counter("engine.aborted_attempts");
+    // Retry-cap series exist only when the cap is on, so unbounded-retry
+    // runs dump exactly the historical key set.
+    es.gaveup = config_.max_attempts > 0
+                    ? &es.registry->counter("engine.txn_gaveup")
+                    : &es.discard_counter;
+    es.attempts_hist = config_.max_attempts > 0
+                           ? &es.registry->histogram("engine.txn_attempts")
+                           : &es.discard_hist;
   }
   crash_record_offset_.assign(config_.num_nodes, 0);
 
@@ -198,9 +199,9 @@ Engine::Engine(const SystemConfig& config)
       ol->ring.resize(config_.open_loop.admission_queue_bound);
       ol->idle_sessions.reserve(config_.open_loop.sessions_per_node);
       // Admission telemetry exists only in open-loop runs (closed-loop
-      // dumps keep the historical key set), shard-local when sharded like
-      // every other per-node series.
-      MetricsRegistry& reg = sharded_ ? eshards_[n]->registry : registry_;
+      // dumps keep the historical key set), in the node's home registry
+      // like every other per-node series.
+      MetricsRegistry& reg = *Home(n).registry;
       ol->admitted = &reg.counter("engine.admission_admitted");
       ol->shed = &reg.counter("engine.admission_shed");
       ol->delayed = &reg.counter("engine.admission_delayed");
@@ -211,42 +212,35 @@ Engine::Engine(const SystemConfig& config)
 
   if (config_.int_telemetry.enabled) {
     // One postcard collector per home node, bound to the node's home
-    // registry (shard-local when sharded; the get-or-create semantics share
-    // one series set in legacy mode — merged totals agree either way).
+    // registry (the get-or-create semantics share one series set when
+    // several nodes share a shard — merged totals agree either way).
     // Bound at construction so the INT-on metric key set is a pure function
     // of the configuration; INT-off runs never reach this and publish the
     // historical keys byte-for-byte.
     int_collectors_.resize(config_.num_nodes);
     for (uint16_t n = 0; n < config_.num_nodes; ++n) {
       int_collectors_[n].Bind(
-          sharded_ ? &eshards_[n]->registry : &registry_,
-          config_.num_switches,
+          Home(n).registry, config_.num_switches,
           static_cast<size_t>(config_.pipeline.CapacityRows()));
     }
   }
 
   // The flight recorder is live from the first event; EnableFull upgrades
-  // the same tracer in place for --trace runs. In sharded mode the switch
-  // pipeline emits into the switch shard's ring; network spans are the
-  // router's job (each leg lands on the shard that models it).
+  // the same tracer in place for --trace runs.
   net_.set_tracer(&tracer_);
-  for (uint16_t k = 0; k < config_.num_switches; ++k) {
-    pipelines_[k]->set_tracer(
-        sharded_ ? eshards_[switch_shard() + k]->tracer.get() : &tracer_);
-  }
 
   if (config_.num_switches > 1) {
     // Primary-backup replication: every pipeline gets a sink (only the
     // primary's ever fires — backups receive no packets), its own
-    // ReplicaState, and shard-local "switch.rep_*" counters. Registered at
-    // construction so the dumped key set is fixed per configuration.
+    // ReplicaState, and "switch.rep_*" counters in its home registry.
+    // Registered at construction so the dumped key set is fixed per
+    // configuration.
     replica_states_.resize(config_.num_switches);
     for (auto& rs : replica_states_) rs.Reset(config_.num_nodes);
     rep_link_busy_.assign(config_.num_switches, 0);
     rep_target_ = 1;
     for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      MetricsRegistry& reg =
-          sharded_ ? eshards_[switch_shard() + k]->registry : registry_;
+      MetricsRegistry& reg = *SwitchHome(k).registry;
       rep_sent_.push_back(&reg.counter("switch.rep_records_sent"));
       rep_applied_.push_back(&reg.counter("switch.rep_records_applied"));
       rep_stale_.push_back(&reg.counter("switch.rep_stale_drops"));
@@ -283,17 +277,17 @@ Engine::Engine(const SystemConfig& config)
 }
 
 Engine::~Engine() {
-  // Teardown protocol: no queued event may outlive a coroutine frame.
-  if (sharded_) {
-    ssim_->DiscardMailboxes();
-    for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-      ssim_->shard(s).Stop();
-      ssim_->shard(s).DiscardPending();
-    }
-  }
-  sim_.Stop();
-  sim_.DiscardPending();
+  StopAndDiscard();
   workers_.clear();
+}
+
+void Engine::StopAndDiscard() {
+  // Teardown protocol: no queued event may outlive a coroutine frame.
+  if (sharded_) ssim_->DiscardMailboxes();
+  for (auto& es : eshards_) {
+    es->sim->Stop();
+    es->sim->DiscardPending();
+  }
 }
 
 void Engine::SetWorkload(wl::Workload* workload) {
@@ -317,14 +311,11 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
     budget = capacity;
     report.truncated_by_capacity = true;
   }
+  // The workload's natural hot set may be larger than what fits; the
+  // remainder stays on the nodes (Figure 17's graceful degradation).
   std::vector<HotItem> hot_items =
       detector.TopK(budget, /*min_accesses=*/2,
                     workload_->OffloadWrittenOnly());
-  if (hot_items.size() == max_hot_items &&
-      detector.distinct_items() > max_hot_items) {
-    // The workload's natural hot set may be larger than what fits; the
-    // remainder stays on the nodes (Figure 17's graceful degradation).
-  }
 
   AccessGraph graph = HotSetDetector::BuildGraph(hot_items, sample);
   LayoutPlanner planner(config_.pipeline);
@@ -368,33 +359,27 @@ SimTime Engine::BackoffDelay(int attempt, Rng& rng) {
 
 sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
                             uint64_t seed_salt) {
-  // Sharded workers derive their stream from the home shard's seed and bind
-  // it to the shard, so a draw from any other shard trips the RNG ownership
-  // assert. Legacy workers keep the historical seed formula byte-for-byte.
-  // Open-loop sessions replace closed-loop workers one-for-one and reuse the
-  // formula — only one of the two pools ever exists, so the streams cannot
-  // collide.
-  const uint64_t base_seed =
-      sharded_ ? ShardSeed(config_.seed, node) : config_.seed;
-  Rng rng(base_seed ^ seed_salt ^
+  // Workers derive their stream from the home shard's seed base and bind
+  // it to the shard's token, so in the sharded runtime a draw from any
+  // other shard trips the RNG ownership assert. Open-loop sessions replace
+  // closed-loop workers one-for-one and reuse the formula — only one of the
+  // two pools ever exists, so the streams cannot collide.
+  EngineShard& home = Home(node);
+  Rng rng(home.seed_base ^ seed_salt ^
           (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(node) * 1024 +
                                     worker + 1)));
-  if (sharded_) rng.BindOwner(ssim_->RngToken(node));
+  rng.BindOwner(home.rng_token);
   // Home-shard bindings. Every ExecuteAttempt path ends back on the home
   // shard (sends migrate the coroutine out and back; timeout paths hop home
   // explicitly), so the loop's bookkeeping below always runs there and
   // these references never go stale.
-  sim::Simulator& hsim = HomeSim(node);
-  trace::Tracer& htracer = HomeTracer(node);
-  Metrics& wmetrics = sharded_ ? eshards_[node]->metrics : metrics_;
-  MetricsRegistry::Counter& committed_c =
-      sharded_ ? *eshards_[node]->committed : *committed_counter_;
-  MetricsRegistry::Counter& aborted_c =
-      sharded_ ? *eshards_[node]->aborted : *aborted_counter_;
-  MetricsRegistry::Counter& gaveup_c =
-      sharded_ ? *eshards_[node]->gaveup : *gaveup_counter_;
-  Histogram& attempts_h =
-      sharded_ ? *eshards_[node]->attempts_hist : *attempts_hist_;
+  sim::Simulator& hsim = *home.sim;
+  trace::Tracer& htracer = *home.tracer;
+  Metrics& wmetrics = home.metrics;
+  MetricsRegistry::Counter& committed_c = *home.committed;
+  MetricsRegistry::Counter& aborted_c = *home.aborted;
+  MetricsRegistry::Counter& gaveup_c = *home.gaveup;
+  Histogram& attempts_h = *home.attempts_hist;
   OpenLoopNode* ol =
       config_.open_loop.enabled ? open_loop_[node].get() : nullptr;
   std::vector<std::optional<Value64>> results;
@@ -499,14 +484,13 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
 sim::Task Engine::RunOpenLoopGenerator(NodeId node, uint64_t seed_salt) {
   // The generator's stream is distinct from every session stream (different
   // multiplier), and — like workers — derives from the home shard's seed
-  // when sharded so thread counts cannot perturb the draws.
-  const uint64_t base_seed =
-      sharded_ ? ShardSeed(config_.seed, node) : config_.seed;
-  Rng rng(base_seed ^ seed_salt ^
+  // base so thread counts cannot perturb the draws.
+  EngineShard& home = Home(node);
+  Rng rng(home.seed_base ^ seed_salt ^
           (0xda3e39cb94b95bdbULL * (static_cast<uint64_t>(node) + 1)));
-  if (sharded_) rng.BindOwner(ssim_->RngToken(node));
-  sim::Simulator& hsim = HomeSim(node);
-  trace::Tracer& htracer = HomeTracer(node);
+  rng.BindOwner(home.rng_token);
+  sim::Simulator& hsim = *home.sim;
+  trace::Tracer& htracer = *home.tracer;
   OpenLoopNode& ol = *open_loop_[node];
   const OpenLoopConfig& olc = config_.open_loop;
   const uint32_t bound = olc.admission_queue_bound;
@@ -599,6 +583,11 @@ sim::Task Engine::RunOpenLoopGenerator(NodeId node, uint64_t seed_salt) {
 }
 
 void Engine::SpawnNode(NodeId node, uint64_t seed_salt) {
+  // Tasks start eagerly; in the sharded runtime their first synchronous
+  // section (and any cross-shard posts it makes) must run under the home
+  // shard's context.
+  std::optional<sim::ShardedSimulator::ScopedShard> guard;
+  if (sharded_) guard.emplace(ssim_.get(), node);
   if (config_.open_loop.enabled) {
     workers_.push_back(RunOpenLoopGenerator(node, seed_salt));
     for (uint16_t s = 0; s < config_.open_loop.sessions_per_node; ++s) {
@@ -614,117 +603,86 @@ void Engine::SpawnNode(NodeId node, uint64_t seed_salt) {
 Metrics Engine::Run(SimTime warmup, SimTime duration) {
   assert(!ran_ && "Engine::Run is single-shot");
   assert(workload_ != nullptr);
-  if (sharded_) return RunSharded(warmup, duration);
   ran_ = true;
 
   measuring_ = false;
   running_ = true;
   for (uint16_t n = 0; n < config_.num_nodes; ++n) SpawnNode(n, 0);
-  sim_.RunUntil(warmup);
-  metrics_ = Metrics();
+  if (sharded_) {
+    assert(workload_->ThreadSafeGeneration() &&
+           "sharded runtime requires a thread-safe workload generator");
+    // Rows materialize lazily from several shards at once mid-run.
+    catalog_->EnableConcurrentAccess();
+    // Coordinator-phase globals. Scheduling order fixes the sequence
+    // numbers, which break same-time ties: at t == warmup the reset runs
+    // before any tick, and at t == warmup + duration the last tick runs
+    // before the stop.
+    ssim_->ScheduleGlobal(warmup, [this, warmup, duration] {
+      BeginWindow(warmup, duration);
+    });
+    if (sampler_ != nullptr) {
+      // Sampler ticks are quiescent barrier-phase snapshots of the summed
+      // per-shard sources — same tick times as a legacy Begin()-driven run.
+      for (SimTime t = warmup + sampler_tick_; t <= warmup + duration;
+           t += sampler_tick_) {
+        ssim_->ScheduleGlobal(t, [this] { sampler_->TickExternal(); });
+      }
+    }
+    ssim_->ScheduleGlobal(warmup + duration, [this] {
+      measuring_ = false;
+      ssim_->RequestStop();
+    });
+    ssim_->Run(config_.threads);
+  } else {
+    sim_.RunUntil(warmup);
+    BeginWindow(warmup, duration);
+    sim_.RunUntil(warmup + duration);
+  }
+  measuring_ = false;
+  running_ = false;
+
+  // Teardown: drop pending events before destroying worker frames, then
+  // resume the (now idle) simulators so post-run inspection such as
+  // ExecuteOnce or recovery still works.
+  StopAndDiscard();
+  workers_.clear();
+  DropParkedHandles();
+  for (auto& es : eshards_) es->sim->Resume();
+
+  // Deterministic merges in fixed shard order: node-shard Metrics fold into
+  // the result, shard-owned registries into the engine registry (the merged
+  // dump reproduces the legacy series names with summed values; the legacy
+  // shard owns no registry, so nothing merges there).
+  Metrics out;
+  for (uint32_t s = 0; s < NodeShardCount(); ++s) {
+    out.Merge(eshards_[s]->metrics);
+  }
+  for (auto& es : eshards_) registry_.MergeFrom(es->own_registry);
+  return out;
+}
+
+void Engine::BeginWindow(SimTime warmup, SimTime duration) {
   for (auto& p : pipelines_) p->ResetStats();
   for (auto& lm : lock_managers_) lm->ResetStats();
   switch_lm_->ResetStats();
   registry_.Reset();
+  for (auto& es : eshards_) {
+    es->own_registry.Reset();
+    es->metrics = Metrics();
+  }
   for (IntCollector& ic : int_collectors_) ic.ResetWindow();
   if (sampler_ != nullptr) {
     // Baselines snapshot after the reset so the first window starts at
-    // zero; ticks cover (warmup, warmup + duration] inclusive.
-    sampler_->Begin(warmup, warmup + duration, sampler_tick_);
+    // zero; ticks cover (warmup, warmup + duration] inclusive. The legacy
+    // simulator schedules its own ticks; sharded ticks are the globals Run
+    // scheduled.
+    if (sharded_) {
+      sampler_->BeginExternal(warmup, warmup + duration, sampler_tick_);
+    } else {
+      sampler_->Begin(warmup, warmup + duration, sampler_tick_);
+    }
   }
   measuring_ = true;
-  sim_.RunUntil(warmup + duration);
-  measuring_ = false;
-  running_ = false;
-
-  Metrics out = metrics_;
-  // Teardown: drop pending events before destroying worker frames, then
-  // resume the (now idle) simulator so post-run inspection such as
-  // ExecuteOnce or recovery still works.
-  sim_.Stop();
-  sim_.DiscardPending();
-  workers_.clear();
-  DropParkedHandles();
-  sim_.Resume();
-  return out;
-}
-
-Metrics Engine::RunSharded(SimTime warmup, SimTime duration) {
-  ran_ = true;
-  assert(workload_->ThreadSafeGeneration() &&
-         "sharded runtime requires a thread-safe workload generator");
-  // Rows materialize lazily from several shards at once mid-run.
-  catalog_->EnableConcurrentAccess();
-
-  measuring_ = false;
-  running_ = true;
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    // Tasks start eagerly; the worker's first synchronous section (and any
-    // cross-shard posts it makes) must run under the home shard's context.
-    sim::ShardedSimulator::ScopedShard guard(ssim_.get(), n);
-    SpawnNode(n, 0);
-  }
-
-  // Coordinator-phase globals. Scheduling order fixes the sequence numbers,
-  // which break same-time ties: at t == warmup the reset runs before any
-  // tick, and at t == warmup + duration the last tick runs before the stop.
-  ssim_->ScheduleGlobal(warmup, [this, warmup, duration] {
-    metrics_ = Metrics();
-    for (auto& p : pipelines_) p->ResetStats();
-    for (auto& lm : lock_managers_) lm->ResetStats();
-    switch_lm_->ResetStats();
-    registry_.Reset();
-    for (auto& es : eshards_) {
-      es->registry.Reset();
-      es->metrics = Metrics();
-    }
-    for (IntCollector& ic : int_collectors_) ic.ResetWindow();
-    if (sampler_ != nullptr) {
-      sampler_->BeginExternal(warmup, warmup + duration, sampler_tick_);
-    }
-    measuring_ = true;
-  });
-  if (sampler_ != nullptr) {
-    // Sampler ticks are quiescent barrier-phase snapshots of the summed
-    // per-shard sources — same tick times as a legacy Begin()-driven run.
-    for (SimTime t = warmup + sampler_tick_; t <= warmup + duration;
-         t += sampler_tick_) {
-      ssim_->ScheduleGlobal(t, [this] { sampler_->TickExternal(); });
-    }
-  }
-  ssim_->ScheduleGlobal(warmup + duration, [this] {
-    measuring_ = false;
-    ssim_->RequestStop();
-  });
-
-  ssim_->Run(config_.threads);
-  measuring_ = false;
-  running_ = false;
-
-  // Teardown mirrors the legacy path: drop undelivered cross-shard records
-  // and pending events before destroying worker frames, then resume the
-  // idle shard simulators for post-run inspection.
-  ssim_->DiscardMailboxes();
-  for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-    ssim_->shard(s).Stop();
-    ssim_->shard(s).DiscardPending();
-  }
-  workers_.clear();
-  DropParkedHandles();
-  for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-    ssim_->shard(s).Resume();
-  }
-
-  // Deterministic merges in fixed shard order: per-shard metrics fold into
-  // the engine Metrics, per-shard registries into the engine registry (the
-  // merged dump reproduces the legacy series names with summed values).
-  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-    metrics_.Merge(eshards_[n]->metrics);
-  }
-  for (auto& es : eshards_) {
-    registry_.MergeFrom(es->registry);
-  }
-  return metrics_;
 }
 
 trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
@@ -734,68 +692,49 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   sampler_ = std::make_unique<trace::Sampler>(&sim_);
   // The standard series every bench cares about: throughput, abort rate,
   // how much of the mix the switch absorbed, and tail latency — all as
-  // curves over the measured window instead of end-of-run scalars.
-  if (sharded_) {
-    // One logical series per metric, backed by the per-shard instances.
-    std::vector<const MetricsRegistry::Counter*> committed;
-    std::vector<const MetricsRegistry::Counter*> aborted;
-    std::vector<const Histogram*> latency;
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      committed.push_back(eshards_[n]->committed);
-      aborted.push_back(eshards_[n]->aborted);
-      latency.push_back(&eshards_[n]->metrics.latency_all);
-    }
-    sampler_->AddCounterRate("committed", std::move(committed));
-    sampler_->AddCounterRate("aborted_attempts", std::move(aborted));
-    std::vector<const MetricsRegistry::Counter*> switch_txns;
-    for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      switch_txns.push_back(&eshards_[switch_shard() + k]->registry.counter(
-          "switch.txns_completed"));
-    }
-    sampler_->AddCounterRate("switch_txns", std::move(switch_txns));
-    sampler_->AddHistogramQuantile("p99_latency_ns", latency, 0.99);
-    if (config_.open_loop.enabled) {
-      // Extreme-tail series only for open-loop runs (the knee bench gates
-      // on p999); closed-loop dumps keep the historical key set.
-      sampler_->AddHistogramQuantile("p999_latency_ns", std::move(latency),
-                                     0.999);
-    }
+  // curves over the measured window instead of end-of-run scalars. One
+  // logical series per metric, summed over every node shard's (or switch's)
+  // instance; a single source samples byte-identically to a plain counter.
+  std::vector<const MetricsRegistry::Counter*> committed;
+  std::vector<const MetricsRegistry::Counter*> aborted;
+  std::vector<const Histogram*> latency;
+  std::vector<const MetricsRegistry::Counter*> postcards;
+  std::vector<const MetricsRegistry::Counter*> accesses;
+  for (uint32_t s = 0; s < NodeShardCount(); ++s) {
+    EngineShard& es = *eshards_[s];
+    committed.push_back(es.committed);
+    aborted.push_back(es.aborted);
+    latency.push_back(&es.metrics.latency_all);
     if (config_.int_telemetry.enabled) {
-      // Postcard fold + register-touch rates, summed over the per-node
+      // Postcard fold + register-touch rates, summed over the node
       // collectors (and, for accesses, over the per-switch key family).
-      std::vector<const MetricsRegistry::Counter*> postcards;
-      std::vector<const MetricsRegistry::Counter*> accesses;
-      for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-        postcards.push_back(&eshards_[n]->registry.counter("int.postcards"));
-        for (uint16_t k = 0; k < config_.num_switches; ++k) {
-          accesses.push_back(&eshards_[n]->registry.counter(
-              IntCollector::SwitchPrefix(k) + "int_reg_accesses"));
-        }
-      }
-      sampler_->AddCounterRate("int_postcards", std::move(postcards));
-      sampler_->AddCounterRate("int_reg_accesses", std::move(accesses));
-    }
-  } else {
-    sampler_->AddCounterRate("committed", committed_counter_);
-    sampler_->AddCounterRate("aborted_attempts", aborted_counter_);
-    sampler_->AddCounterRate("switch_txns",
-                             &registry_.counter("switch.txns_completed"));
-    sampler_->AddHistogramQuantile("p99_latency_ns", &metrics_.latency_all,
-                                   0.99);
-    if (config_.open_loop.enabled) {
-      sampler_->AddHistogramQuantile("p999_latency_ns",
-                                     &metrics_.latency_all, 0.999);
-    }
-    if (config_.int_telemetry.enabled) {
-      sampler_->AddCounterRate("int_postcards",
-                               &registry_.counter("int.postcards"));
-      std::vector<const MetricsRegistry::Counter*> accesses;
+      postcards.push_back(&es.registry->counter("int.postcards"));
       for (uint16_t k = 0; k < config_.num_switches; ++k) {
-        accesses.push_back(&registry_.counter(
+        accesses.push_back(&es.registry->counter(
             IntCollector::SwitchPrefix(k) + "int_reg_accesses"));
       }
-      sampler_->AddCounterRate("int_reg_accesses", std::move(accesses));
     }
+  }
+  // Every switch counts under its own prefix, so the series keeps counting
+  // after a view change hands the traffic to switch k >= 1.
+  std::vector<const MetricsRegistry::Counter*> switch_txns;
+  for (uint16_t k = 0; k < config_.num_switches; ++k) {
+    switch_txns.push_back(&SwitchHome(k).registry->counter(
+        IntCollector::SwitchPrefix(k) + "txns_completed"));
+  }
+  sampler_->AddCounterRate("committed", std::move(committed));
+  sampler_->AddCounterRate("aborted_attempts", std::move(aborted));
+  sampler_->AddCounterRate("switch_txns", std::move(switch_txns));
+  sampler_->AddHistogramQuantile("p99_latency_ns", latency, 0.99);
+  if (config_.open_loop.enabled) {
+    // Extreme-tail series only for open-loop runs (the knee bench gates on
+    // p999); closed-loop dumps keep the historical key set.
+    sampler_->AddHistogramQuantile("p999_latency_ns", std::move(latency),
+                                   0.999);
+  }
+  if (config_.int_telemetry.enabled) {
+    sampler_->AddCounterRate("int_postcards", std::move(postcards));
+    sampler_->AddCounterRate("int_reg_accesses", std::move(accesses));
   }
   return *sampler_;
 }
@@ -815,19 +754,12 @@ std::string Engine::CriticalPathJson(size_t top_k) const {
 }
 
 void Engine::EnableFullTrace() {
-  if (sharded_) {
-    for (auto& es : eshards_) es->tracer->EnableFull();
-  } else {
-    tracer_.EnableFull();
-  }
+  for (auto& es : eshards_) es->tracer->EnableFull();
 }
 
 std::string Engine::TraceJson(std::string_view fault_schedule_json) {
-  if (!sharded_) {
-    return tracer_.ToChromeJson(sampler_.get(), fault_schedule_json);
-  }
-  // Concatenate the per-shard rings in fixed shard order; the exporter
-  // re-sorts globally, so the output is a pure function of the record set.
+  // Concatenate the shard rings in fixed shard order; the exporter re-sorts
+  // globally, so the output is a pure function of the record set.
   std::vector<trace::Record> records;
   size_t recorded = 0;
   uint64_t dropped = 0;
@@ -847,10 +779,10 @@ sim::Task Engine::DriveOnce(db::Transaction* txn, NodeId home,
                             bool* done) {
   Rng rng(config_.seed ^ 0x5eed5eed5eed5eedULL);
   TxnTimers timers;
-  const uint64_t ts = next_txn_id_;
+  const uint64_t ts = PeekTxnId(home);
   int attempt = 0;
   for (;;) {
-    const uint64_t txn_id = next_txn_id_++;
+    const uint64_t txn_id = TakeTxnId(home);
     results->assign(txn->ops.size(), std::nullopt);
     const bool ok = co_await cc_->ExecuteAttempt(home, *txn, txn_id, ts,
                                                  results, &timers);
@@ -929,18 +861,10 @@ Status Engine::RecoverNode(NodeId node) {
   if (!node_crashed_[node]) {
     return Status::InvalidArgument("node is not crashed");
   }
-  // Restart scan: every committed host record's effects already live in the
-  // (shared) storage model and gid-less switch intents are the *switch*
-  // recovery's job to apply — the node must never replay them itself, or a
-  // recovered intent would be applied twice. The scan is bookkeeping plus
-  // observability.
-  size_t open_intents = 0;
-  for (const db::LogRecord& rec : wals_[node]->records()) {
-    if (rec.kind == db::LogKind::kSwitchIntent && !rec.has_result) {
-      ++open_intents;
-    }
-  }
-  (void)open_intents;
+  // Nothing to replay: every committed host record's effects already live
+  // in the (shared) storage model, and gid-less switch intents are the
+  // *switch* recovery's job to apply — the node must never replay them
+  // itself, or a recovered intent would be applied twice.
   node_crashed_[node] = false;
   // Lazily created, so only runs that actually recover a node publish it.
   registry_.counter("engine.node_recoveries").Increment();
@@ -949,15 +873,7 @@ Status Engine::RecoverNode(NodeId node) {
     // generation's streams died mid-sequence, and reusing them would replay
     // transactions the node already issued.
     ++recover_generation_;
-    const uint64_t salt = 0xa0761d6478bd642fULL * recover_generation_;
-    if (sharded_) {
-      // Restart events run as quiescent globals; the respawned workers'
-      // eager first sections need the home shard's context installed.
-      sim::ShardedSimulator::ScopedShard guard(ssim_.get(), node);
-      SpawnNode(node, salt);
-    } else {
-      SpawnNode(node, salt);
-    }
+    SpawnNode(node, 0xa0761d6478bd642fULL * recover_generation_);
   }
   return Status::Ok();
 }
@@ -968,41 +884,31 @@ void Engine::InstallFaultSchedule(const net::FaultSchedule& schedule) {
   if (schedule.empty()) return;  // null schedule: nothing arms, zero overhead
   fault_schedule_ = schedule;
   chaos_armed_ = true;
-  if (sharded_) {
-    // One injector per shard: link faults are drawn on the SENDER's shard
-    // in its deterministic send order, from a stream that is a pure
-    // function of (seed, shard).
-    std::vector<MetricsRegistry*> node_registries;
-    node_registries.reserve(config_.num_nodes);
-    for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-      EngineShard& es = *eshards_[s];
-      es.injector = std::make_unique<net::FaultInjector>(
-          fault_schedule_, ShardSeed(config_.seed, s), &es.registry);
-      es.injector->BindRngOwner(ssim_->RngToken(s));
+  // One injector per shard: link faults are drawn on the SENDER's shard in
+  // its deterministic send order, from a stream that is a pure function of
+  // (seed, shard). The legacy network draws from its one shard's stream.
+  for (uint32_t s = 0; s < eshards_.size(); ++s) {
+    EngineShard& es = *eshards_[s];
+    es.injector = std::make_unique<net::FaultInjector>(
+        fault_schedule_, es.seed_base, es.registry);
+    es.injector->BindRngOwner(es.rng_token);
+    if (sharded_) {
       router_->set_fault_injector(s, es.injector.get());
-      if (s < config_.num_nodes) node_registries.push_back(&es.registry);
+    } else {
+      net_.set_fault_injector(es.injector.get());
     }
-    cc_->BindChaosCountersSharded(&eshards_[switch_shard()]->registry,
-                                  node_registries);
-    for (uint16_t k = 0; k < config_.num_switches; ++k) {
-      pipelines_[k]->BindStaleEpochCounter(
-          &eshards_[switch_shard() + k]->registry.counter(
-              "switch.stale_epoch_drops"));
-    }
-  } else {
-    fault_injector_ = std::make_unique<net::FaultInjector>(
-        fault_schedule_, config_.seed, &registry_);
-    net_.set_fault_injector(fault_injector_.get());
-    // Chaos-only series are registered at arming (not first use) so two
-    // runs with the same (seed, schedule) dump identical key sets even when
-    // an event never fires.
-    registry_.counter("engine.txn_timeouts");
-    registry_.counter("engine.failovers");
-    cc_->BindChaosCounters(&registry_);
-    for (auto& p : pipelines_) {
-      p->BindStaleEpochCounter(
-          &registry_.counter("switch.stale_epoch_drops"));
-    }
+  }
+  // Chaos-only series are registered at arming (not first use) so two runs
+  // with the same (seed, schedule) dump identical key sets even when an
+  // event never fires.
+  std::vector<MetricsRegistry*> node_registries;
+  for (uint16_t n = 0; n < config_.num_nodes; ++n) {
+    node_registries.push_back(Home(n).registry);
+  }
+  cc_->BindChaosCounters(SwitchHome(0).registry, node_registries);
+  for (uint16_t k = 0; k < config_.num_switches; ++k) {
+    pipelines_[k]->BindStaleEpochCounter(
+        &SwitchHome(k).registry->counter("switch.stale_epoch_drops"));
   }
   for (const net::FaultEvent& ev : fault_schedule_.events) {
     // Scripted events are cluster-scope state changes; the sharded runtime
@@ -1104,8 +1010,7 @@ void Engine::OnSwitchCrash(uint16_t sw) {
   control_planes_[sw]->Reset();
   pipelines_[sw]->Reboot();
   switch_draining_ = true;
-  const SimTime now = sharded_ ? ssim_->global_now() : sim_.now();
-  ScheduleGlobalAt(now + config_.timing.view_change_delay,
+  ScheduleGlobalAt(GlobalNow() + config_.timing.view_change_delay,
                    [this, np = static_cast<uint16_t>(backup)] {
                      PromoteBackup(np);
                    });
@@ -1124,8 +1029,7 @@ void Engine::BeginFailback(uint16_t sw) {
   if (!switch_up_) {
     // A view change is still mid-pause (downtime < view_change_delay);
     // rejoin once the promoted primary is serving.
-    const SimTime now = sharded_ ? ssim_->global_now() : sim_.now();
-    ScheduleGlobalAt(now + config_.timing.view_change_delay,
+    ScheduleGlobalAt(GlobalNow() + config_.timing.view_change_delay,
                      [this, sw] { BeginFailback(sw); });
     return;
   }
@@ -1147,14 +1051,10 @@ void Engine::FinalizeFailback() {
     // Degraded transactions are still mutating the hot items' host rows;
     // installing register values mid-flight would lose their writes. The
     // draining flag keeps new degraded work from starting; poll until the
-    // last one commits. The sharded poll is a coordinator global (reading
-    // the per-node counts is only safe with every shard quiescent).
-    if (sharded_) {
-      ssim_->ScheduleGlobal(ssim_->global_now() + 5 * kMicrosecond,
-                            [this] { FinalizeFailback(); });
-    } else {
-      sim_.Schedule(5 * kMicrosecond, [this] { FinalizeFailback(); });
-    }
+    // last one commits. The poll is a global (reading the per-node counts
+    // is only safe with every shard quiescent).
+    ScheduleGlobalAt(GlobalNow() + 5 * kMicrosecond,
+                     [this] { FinalizeFailback(); });
     return;
   }
   // Baseline = the host rows (crash-time seed + every degraded write),
@@ -1254,7 +1154,7 @@ void Engine::ForwardReplication(uint16_t from,
   // egress (records queue behind each other), then one propagation delay.
   // Not routed through the Network on purpose — no injector perturbation,
   // so legacy and sharded runs stay draw-for-draw identical.
-  sim::Simulator& sim = sharded_ ? ssim_->CurrentSim() : sim_;
+  const sim::Simulator& sim = *SwitchHome(from).sim;
   const SimTime ser = static_cast<SimTime>(
       std::llround(static_cast<double>(sw::ReplicationWireSize(rec)) *
                    config_.network.ns_per_byte));
@@ -1269,7 +1169,7 @@ void Engine::ForwardReplication(uint16_t from,
   // if teardown discards the event.
   auto boxed = std::make_shared<const sw::ReplicationRecord>(rec);
   if (sharded_) {
-    ssim_->Post(switch_shard() + backup, arrive, [this, backup, boxed] {
+    ssim_->Post(config_.num_nodes + backup, arrive, [this, backup, boxed] {
       ApplyReplicationRecord(backup, *boxed);
     });
   } else {

@@ -58,16 +58,20 @@ struct OffloadReport {
 /// OptimisticCC, selected by SystemConfig::cc_protocol) that sees the
 /// cluster through a cc::ExecutionContext.
 ///
-/// Execution runtimes (SystemConfig::threads):
+/// Execution runtimes (SystemConfig::threads), chosen once at construction:
 ///  - threads == 0 (legacy): one Simulator drives the whole cluster. The
-///    reference runtime for every historical seeded baseline; untouched by
-///    the parallel work.
-///  - threads >= 1 (sharded): one shard per node plus a switch shard, each
+///    reference runtime for every historical seeded baseline.
+///  - threads >= 1 (sharded): one shard per node plus one per switch, each
 ///    with its own Simulator, event-synchronized by a ShardedSimulator over
-///    conservative lookahead windows and connected by a ShardRouter. All
-///    mutable engine state is partitioned by shard (EngineShard); the
+///    conservative lookahead windows and connected by a ShardRouter. The
 ///    merged metrics/trace outputs are a pure function of (seed, schedule),
 ///    so any threads >= 1 run is bit-identical to threads == 1.
+/// Both runtimes keep per-node and per-switch state in one shard table
+/// (EngineShard, looked up with Home / SwitchHome). The sharded table has
+/// num_nodes + num_switches shards, each owning its registry and tracer.
+/// The legacy table has a single shard that aliases the engine's simulator,
+/// registry and tracer, and every node and switch maps to it. The few
+/// sites where the runtimes really differ are listed in DESIGN.md §4g.
 ///
 /// Lifecycle: construct -> SetWorkload -> Offload -> Run (once) -> inspect
 /// metrics / state. Crash-recovery experiments use SimulateSwitchCrash +
@@ -148,17 +152,15 @@ class Engine {
             ? size_t{config_.open_loop.sessions_per_node} + 1
             : size_t{config_.workers_per_node};
     const size_t workers = size_t{config_.num_nodes} * per_node;
+    // Every shard gets the full-cluster budget: the switch shard parks most
+    // in-flight coroutines at peak, and memory is cheap next to a realloc
+    // inside the measured window.
+    for (auto& es : eshards_) {
+      es->sim->Reserve(workers * 8 + 1024, workers * 4 + 256);
+    }
     if (sharded_) {
-      // Every shard gets the full-cluster budget: the switch shard parks
-      // most in-flight coroutines at peak, and memory is cheap next to a
-      // realloc inside the measured window.
-      for (uint32_t s = 0; s < ssim_->num_shards(); ++s) {
-        ssim_->shard(s).Reserve(workers * 8 + 1024, workers * 4 + 256);
-      }
       ssim_->Reserve(/*global_events=*/workers * 4 + 4096,
                      /*mailbox_records_per_pair=*/workers * 4 + 256);
-    } else {
-      sim_.Reserve(workers * 8 + 1024, workers * 4 + 256);
     }
   }
 
@@ -171,20 +173,21 @@ class Engine {
   /// in BENCH_<name>.json via Sampler::ToJson.
   trace::Sampler& EnableTimeSeries(SimTime tick);
 
-  /// The engine's tracer (legacy runtime). Always-on flight recorder by
-  /// default; sharded runs record into per-shard tracers instead — use
-  /// EnableFullTrace()/TraceJson() for runtime-agnostic capture/export.
+  /// The engine's tracer, the legacy runtime's only ring. Always-on flight
+  /// recorder by default; sharded runs record into per-shard tracers
+  /// instead — use EnableFullTrace()/TraceJson() for runtime-agnostic
+  /// capture/export.
   trace::Tracer& tracer() { return tracer_; }
   /// Null until EnableTimeSeries.
   trace::Sampler* sampler() { return sampler_.get(); }
 
-  /// Upgrades the flight recorder(s) to full-run capture for --trace runs;
-  /// in sharded mode every shard tracer is upgraded.
+  /// Upgrades every shard's flight recorder to full-run capture for --trace
+  /// runs.
   void EnableFullTrace();
-  /// Chrome-trace JSON export: the engine tracer's ring in legacy mode; in
-  /// sharded mode the per-shard rings concatenated in fixed shard order and
-  /// re-sorted inside the exporter, so the bytes are a pure function of
-  /// (seed, schedule) — identical for every thread count.
+  /// Chrome-trace JSON export: the shard rings concatenated in fixed shard
+  /// order and re-sorted inside the exporter, so the bytes are a pure
+  /// function of (seed, schedule) — identical for every thread count (and,
+  /// with the legacy runtime's single ring, Tracer::ToChromeJson).
   std::string TraceJson(std::string_view fault_schedule_json = {});
 
   bool chaos_armed() const { return chaos_armed_; }
@@ -206,12 +209,6 @@ class Engine {
 
   // -- Accessors --
   const SystemConfig& config() const { return config_; }
-  /// True when SystemConfig::threads selected the parallel runtime.
-  bool sharded() const { return sharded_; }
-  sim::Simulator& simulator() { return sim_; }
-  /// Non-null in sharded mode only.
-  sim::ShardedSimulator* sharded_simulator() { return ssim_.get(); }
-  net::Network& network() { return net_; }
   /// The primary switch's pipeline / control plane (the only ones with one
   /// switch); use the indexed overloads to inspect a specific replica.
   sw::Pipeline& pipeline() { return *pipelines_[primary_switch_]; }
@@ -223,7 +220,6 @@ class Engine {
   db::LockManager& lock_manager(NodeId node) { return *lock_managers_[node]; }
   db::LockManager& switch_lock_manager() { return *switch_lm_; }
   db::Wal& wal(NodeId node) { return *wals_[node]; }
-  const Metrics& metrics() const { return metrics_; }
   /// The active execution strategy (2PL or OCC).
   cc::ConcurrencyControl& concurrency_control() { return *cc_; }
   /// Cluster-wide named counters/histograms published by Network, Pipeline,
@@ -243,13 +239,16 @@ class Engine {
   /// Total simulator events executed (summed over shards when sharded) —
   /// the bench harness's events/txn statistic.
   uint64_t TotalExecutedEvents() const {
-    return sharded_ ? ssim_->TotalExecutedEvents() : sim_.executed_events();
+    uint64_t total = 0;
+    for (const auto& es : eshards_) total += es->sim->executed_events();
+    return total;
   }
 
   /// Schedules `fn` at absolute simulated time `t`: a coordinator-phase
   /// global in sharded mode (runs with every shard quiescent), a plain
-  /// simulator event in legacy mode. Test harness hook (e.g. allocation
-  /// window brackets).
+  /// simulator event in legacy mode. Schedules the chaos handlers' follow-up
+  /// events, and serves harnesses as a hook (e.g. allocation window
+  /// brackets).
   void ScheduleGlobalAt(SimTime t, std::function<void()> fn) {
     if (sharded_) {
       ssim_->ScheduleGlobal(t, std::move(fn));
@@ -259,29 +258,44 @@ class Engine {
   }
 
  private:
-  /// Per-shard engine state for the parallel runtime: one slot per node
-  /// shard plus one for the switch shard (last index). Everything a
-  /// worker's hot path touches lives here so no two shards share mutable
-  /// state; the mergeable pieces fold into the engine-level registry /
-  /// metrics / trace in fixed shard order when Run finishes.
+  /// Per-node and per-switch runtime state, one slot per shard (see the
+  /// class comment for the two tables). Everything a worker's hot path
+  /// touches lives here, so no two shards share mutable state; the
+  /// mergeable pieces fold into the engine registry and the returned
+  /// Metrics in fixed shard order when Run finishes.
   struct EngineShard {
-    MetricsRegistry registry;
-    std::unique_ptr<trace::Tracer> tracer;
-    Metrics metrics;        // node shards only (written by workers)
-    uint64_t next_txn_id = 0;  // per-node id counter (see TakeTxnId)
+    /// The shard's simulator, registry and tracer: its own when sharded,
+    /// the engine's sim_ / registry_ / tracer_ for the legacy shard.
+    sim::Simulator* sim = nullptr;
+    MetricsRegistry* registry = nullptr;
+    trace::Tracer* tracer = nullptr;
+    /// Base seed of the shard's worker, generator and fault streams, and
+    /// the RNG-ownership token they bind to (null: unowned).
+    uint64_t seed_base = 0;
+    const void* rng_token = nullptr;
+    /// Transaction ids are next_txn_id * id_stride + id_offset (see
+    /// TakeTxnId).
+    uint64_t next_txn_id = 0;
+    uint64_t id_stride = 1;
+    uint64_t id_offset = 1;
+    Metrics metrics;  // node shards only (written by workers)
     MetricsRegistry::Counter* committed = nullptr;
     MetricsRegistry::Counter* aborted = nullptr;
     MetricsRegistry::Counter* gaveup = nullptr;
     Histogram* attempts_hist = nullptr;
     /// Shard-private discard sinks for the retry-cap series when the cap
     /// is off: the process-wide null sinks would be written from several
-    /// shards at once, and registering real per-shard series would change
-    /// the dumped key set relative to legacy uncapped runs.
+    /// shards at once, and registering real series would change the dumped
+    /// key set of uncapped runs.
     MetricsRegistry::Counter discard_counter;
     Histogram discard_hist;
     /// Chaos only: this shard's deterministic fault stream, seeded
-    /// ShardSeed(config.seed, shard).
+    /// seed_base.
     std::unique_ptr<net::FaultInjector> injector;
+    /// Storage behind `registry` / `tracer` when the shard owns them
+    /// (sharded); unused by the legacy shard.
+    MetricsRegistry own_registry;
+    std::unique_ptr<trace::Tracer> own_tracer;
   };
 
   /// One client of node `node`, looping until the run stops: a closed-loop
@@ -330,31 +344,43 @@ class Engine {
                       std::vector<std::optional<Value64>>* results,
                       bool* done);
 
-  /// Sharded-mode Run: spawns workers under their shard contexts, drives
-  /// the window protocol, then merges per-shard state deterministically.
-  Metrics RunSharded(SimTime warmup, SimTime duration);
+  /// Measurement-window start: resets every component's statistics and
+  /// every shard's registry and Metrics, arms the sampler, and opens the
+  /// window.
+  void BeginWindow(SimTime warmup, SimTime duration);
+  /// Drops every queued event (and undelivered cross-shard record) so no
+  /// event can outlive the coroutine frame it resumes.
+  void StopAndDiscard();
 
   SimTime BackoffDelay(int attempt, Rng& rng);
 
-  uint32_t switch_shard() const { return config_.num_nodes; }
-  sim::Simulator& HomeSim(NodeId node) {
-    return sharded_ ? ssim_->shard(node) : sim_;
+  /// The shard that owns node `node` / switch `k` (shard 0 in legacy).
+  EngineShard& Home(NodeId node) { return *eshards_[sharded_ ? node : 0]; }
+  EngineShard& SwitchHome(uint16_t k) {
+    return *eshards_[sharded_ ? config_.num_nodes + k : 0];
   }
-  trace::Tracer& HomeTracer(NodeId node) {
-    return sharded_ ? *eshards_[node]->tracer : tracer_;
+  /// Node shards are the first NodeShardCount() slots of eshards_: every
+  /// node's own in the sharded table, the one shared slot in legacy.
+  uint32_t NodeShardCount() const {
+    return sharded_ ? config_.num_nodes : 1;
   }
-  /// Transaction ids. Legacy: one global counter. Sharded: per-node
-  /// counters interleaved as c * num_nodes + node + 1, so ids stay globally
-  /// unique and nodes keep comparable WAIT_DIE priorities without sharing a
-  /// counter across shards.
-  uint64_t PeekTxnId(NodeId node) const {
-    if (!sharded_) return next_txn_id_;
-    return eshards_[node]->next_txn_id * config_.num_nodes + node + 1;
+  /// Simulated time at a quiescent instant: the coordinator's clock when
+  /// sharded, the one simulator's otherwise.
+  SimTime GlobalNow() const {
+    return sharded_ ? ssim_->global_now() : sim_.now();
+  }
+  /// Transaction ids: the home shard's counter c maps to
+  /// c * id_stride + id_offset. Legacy: one counter from 1 with stride 1.
+  /// Sharded: per-node counters interleaved as c * num_nodes + node + 1, so
+  /// ids stay globally unique and nodes keep comparable WAIT_DIE priorities
+  /// without sharing a counter across shards.
+  uint64_t PeekTxnId(NodeId node) {
+    const EngineShard& es = Home(node);
+    return es.next_txn_id * es.id_stride + es.id_offset;
   }
   uint64_t TakeTxnId(NodeId node) {
-    if (!sharded_) return next_txn_id_++;
-    const uint64_t c = eshards_[node]->next_txn_id++;
-    return c * config_.num_nodes + node + 1;
+    EngineShard& es = Home(node);
+    return es.next_txn_id++ * es.id_stride + es.id_offset;
   }
 
   // Chaos-harness event handlers (scheduled by InstallFaultSchedule).
@@ -415,10 +441,11 @@ class Engine {
   sim::Simulator sim_;
   MetricsRegistry registry_;  // before the components that register into it
   trace::Tracer tracer_{&sim_};  // flight-recorder mode until EnableFull
-  /// Parallel runtime (sharded_ only; all null/empty in legacy mode).
-  /// Declared before the components so shard sims/registries/tracers exist
-  /// when lock managers, WALs, the pipeline and the router bind to them.
+  /// Parallel runtime (sharded only; null in legacy mode).
   std::unique_ptr<sim::ShardedSimulator> ssim_;
+  /// The shard table (see EngineShard). Declared before the components so
+  /// shard sims/registries/tracers exist when lock managers, WALs, the
+  /// pipelines and the router bind to them.
   std::vector<std::unique_ptr<EngineShard>> eshards_;
   std::unique_ptr<ShardRouter> router_;
   net::Network net_;
@@ -443,7 +470,6 @@ class Engine {
   std::vector<std::unique_ptr<OpenLoopNode>> open_loop_;
 
   wl::Workload* workload_ = nullptr;
-  Metrics metrics_;
   std::unique_ptr<trace::Sampler> sampler_;
   SimTime sampler_tick_ = 0;
   std::vector<sim::Task> workers_;
@@ -452,13 +478,11 @@ class Engine {
   /// True while Run's workers are live — RecoverNode only respawns then.
   bool running_ = false;
 
-  uint64_t next_txn_id_ = 1;  // legacy runtime only (see TakeTxnId)
   std::vector<uint32_t> next_client_seq_;
 
   // Chaos-harness state. All inert (and the counters unregistered) until
   // InstallFaultSchedule arms a non-empty schedule, so fault-free runs dump
   // exactly the historical metric key set.
-  std::unique_ptr<net::FaultInjector> fault_injector_;
   net::FaultSchedule fault_schedule_;
   bool chaos_armed_ = false;
   bool switch_up_ = true;
@@ -490,20 +514,10 @@ class Engine {
   /// What each switch knows of the replication stream; see ReplicaState.
   std::vector<sw::ReplicaState> replica_states_;
   std::vector<std::unique_ptr<RepChannel>> rep_channels_;
-  /// "switch.rep_*" counters, per switch (shard-local when sharded).
+  /// "switch.rep_*" counters, per switch (in the switch's home registry).
   std::vector<MetricsRegistry::Counter*> rep_sent_;
   std::vector<MetricsRegistry::Counter*> rep_applied_;
   std::vector<MetricsRegistry::Counter*> rep_stale_;
-
-  /// Engine-level registry counters (committed / aborted attempts over the
-  /// measured window). Legacy runtime; sharded workers use their
-  /// EngineShard's counters and the dump merge reproduces these series.
-  MetricsRegistry::Counter* committed_counter_ = nullptr;
-  MetricsRegistry::Counter* aborted_counter_ = nullptr;
-  /// Bound to real series only when config.max_attempts > 0 (else the
-  /// static null sinks), keeping unbounded-retry dumps unchanged.
-  MetricsRegistry::Counter* gaveup_counter_ = nullptr;
-  Histogram* attempts_hist_ = nullptr;
 
   /// Per-node INT postcard collectors (config.int_telemetry.enabled only;
   /// empty otherwise so INT-off runs carry no collector state at all).

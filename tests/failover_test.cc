@@ -296,7 +296,7 @@ TEST(FailoverTest, NodeCrashAndRestartMidRun) {
   MetricsRegistry::Counter* committed =
       &engine.metrics_registry().counter("engine.committed");
   uint64_t committed_before_restart = 0;
-  engine.simulator().ScheduleAt(4 * kMillisecond - 1, [&] {
+  engine.ScheduleGlobalAt(4 * kMillisecond - 1, [&] {
     committed_before_restart = committed->value();
   });
 

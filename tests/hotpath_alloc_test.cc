@@ -51,7 +51,7 @@ uint64_t MeasuredWindowAllocs(core::CcProtocol cc, bool trace_full = false,
   // Observability must not relax the discipline: the trace ring and the
   // sampler's series storage are allocated here, before the window, and
   // recording/ticking inside the window must stay allocation-free.
-  if (trace_full) engine.tracer().EnableFull();
+  if (trace_full) engine.EnableFullTrace();
   if (time_series) engine.EnableTimeSeries(100 * kMicrosecond);
 
   db::Catalog& catalog = engine.catalog();
@@ -70,13 +70,13 @@ uint64_t MeasuredWindowAllocs(core::CcProtocol cc, bool trace_full = false,
   // metrics reset at the boundary allocates by design.
   const SimTime measure = 10 * kMillisecond;
   testing::AllocSnapshot begin, end;
-  engine.simulator().ScheduleAt(warmup + 1, [&begin] {
+  engine.ScheduleGlobalAt(warmup + 1, [&begin] {
     begin = testing::CaptureAllocs();
     if (std::getenv("P4DB_TRAP_ALLOCS") != nullptr) {
       testing::SetAllocTrap(true);
     }
   });
-  engine.simulator().ScheduleAt(warmup + measure, [&end] {
+  engine.ScheduleGlobalAt(warmup + measure, [&end] {
     testing::SetAllocTrap(false);
     end = testing::CaptureAllocs();
   });

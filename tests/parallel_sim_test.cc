@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "alloc_counter.h"
 #include "core/engine.h"
@@ -209,6 +214,102 @@ TEST(ParallelAllocTest, SteadyStateWindowIsAllocFree) {
   EXPECT_GT(m.committed, 0u);
   EXPECT_EQ(end.allocs - begin.allocs, 0u)
       << "parallel steady state allocated in the measured window";
+}
+
+/// Counter and histogram names of a registry dump, tagged by section.
+std::set<std::string> RegistryKeys(const std::string& json) {
+  std::set<std::string> keys;
+  std::istringstream in(json);
+  std::string line;
+  std::string section;
+  while (std::getline(in, line)) {
+    if (line.rfind("  \"", 0) == 0) {
+      section = line.substr(3, line.find('"', 3) - 3);  // "counters", ...
+    } else if (line.rfind("    \"", 0) == 0) {
+      keys.insert(section + ":" + line.substr(5, line.find('"', 5) - 5));
+    }
+  }
+  return keys;
+}
+
+/// Series names of a sampler dump, in registration order.
+std::vector<std::string> SeriesNames(const std::string& json) {
+  std::vector<std::string> names;
+  const std::regex series(R"re("([^"]+)": \[)re");
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), series);
+       it != std::sregex_iterator(); ++it) {
+    names.push_back((*it)[1]);
+  }
+  return names;
+}
+
+struct ShapeConfig {
+  const char* name;
+  bool smallbank;
+  void (*mutate)(SystemConfig&);
+  void (*schedule)(net::FaultSchedule&);
+};
+
+TEST(RuntimeShapeParityTest, LegacyAndShardedRegisterTheSameKeys) {
+  // Both runtimes bind every node's and switch's series through one shard
+  // table; a key registered in only one of them would silently change the
+  // dump shape between threads=0 and threads>=1. Values legitimately
+  // differ (global events order differently), names must not.
+  const ShapeConfig configs[] = {
+      {"p4db-ycsb", false, nullptr, nullptr},
+      {"noswitch-smallbank", true,
+       [](SystemConfig& c) { c.mode = EngineMode::kNoSwitch; }, nullptr},
+      {"openloop-batch8", false,
+       [](SystemConfig& c) {
+         c.open_loop.enabled = true;
+         c.open_loop.offered_load = 2e6;
+         c.batch.size = 8;
+       },
+       nullptr},
+      {"int", false, [](SystemConfig& c) { c.int_telemetry.enabled = true; },
+       nullptr},
+      {"link-faults-reboot", false, nullptr,
+       [](net::FaultSchedule& f) {
+         f.links.drop_prob = 0.01;
+         f.links.dup_prob = 0.005;
+         f.links.delay_spike_prob = 0.01;
+         f.events.push_back(net::FaultEvent::SwitchReboot(
+             2 * kMillisecond, 400 * kMicrosecond));
+       }},
+      {"k2-primary-reboot", false,
+       [](SystemConfig& c) { c.num_switches = 2; },
+       [](net::FaultSchedule& f) {
+         f.events.push_back(net::FaultEvent::SwitchReboot(
+             2 * kMillisecond, 400 * kMicrosecond, /*switch_id=*/0));
+       }},
+      {"max-attempts-3", false,
+       [](SystemConfig& c) { c.max_attempts = 3; }, nullptr},
+  };
+  for (const ShapeConfig& sc : configs) {
+    SCOPED_TRACE(sc.name);
+    net::FaultSchedule schedule;
+    if (sc.schedule != nullptr) sc.schedule(schedule);
+    ParallelRun runs[2];
+    for (int threads : {0, 1}) {
+      wl::SmallBankConfig bank;
+      bank.num_accounts = 100000;
+      std::unique_ptr<wl::Workload> workload;
+      if (sc.smallbank) {
+        workload = std::make_unique<wl::SmallBank>(bank);
+      } else {
+        workload = std::make_unique<wl::Ycsb>(SmallYcsb());
+      }
+      runs[threads] = RunSharded(threads, 42, workload.get(),
+                                 sc.smallbank ? 80 : 40,
+                                 sc.schedule != nullptr ? &schedule : nullptr,
+                                 sc.mutate);
+    }
+    EXPECT_EQ(RegistryKeys(runs[0].metrics_json),
+              RegistryKeys(runs[1].metrics_json));
+    EXPECT_EQ(SeriesNames(runs[0].time_series_json),
+              SeriesNames(runs[1].time_series_json));
+    EXPECT_GT(RegistryKeys(runs[0].metrics_json).size(), 10u);
+  }
 }
 
 }  // namespace

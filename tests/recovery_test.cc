@@ -309,8 +309,8 @@ TEST(RecoveryEndToEndTest, NodeCrashLeavesInflightRecoverable) {
   // Crash node 2 mid-run: switch txns it has in flight at that moment
   // never receive their gids (the realistic Scenario-1 situation; the
   // placement search is quadratic in the log size, so the run is short).
-  engine.simulator().Schedule(
-      600 * kMicrosecond, [&engine] { engine.SimulateNodeCrash(2); });
+  engine.ScheduleGlobalAt(600 * kMicrosecond,
+                         [&engine] { engine.SimulateNodeCrash(2); });
   engine.Run(200 * kMicrosecond, 800 * kMicrosecond);
 
   size_t inflight = 0;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
@@ -203,6 +204,49 @@ TEST(ReplicationTest, PrimaryCrashPromotesBackupWithBoundedDip) {
       << "view-change dip exceeded 30% (baseline " << baseline
       << " commits/bucket, worst fault-window bucket " << worst << ")";
 
+  DumpFlightRecorderIfFailed(engine, schedule);
+}
+
+int64_t SeriesSum(const trace::Sampler& sampler, std::string_view name) {
+  const std::vector<int64_t>* series = sampler.Find(name);
+  if (series == nullptr) {
+    ADD_FAILURE() << "no series " << name;
+    return 0;
+  }
+  int64_t total = 0;
+  for (int64_t v : *series) total += v;
+  return total;
+}
+
+TEST(ReplicationTest, SwitchTxnSeriesCountsEverySwitch) {
+  // After the view change the promoted switch 1 serves every hot
+  // transaction under its own "switch1." keys; the switch_txns series must
+  // keep counting them. Per-switch probes sampled at the same ticks pin
+  // the window sum exactly.
+  HotAddWorkload wl(kNumKeys);
+  Engine engine(ReplicatedCluster(/*num_switches=*/2));
+  engine.SetWorkload(&wl);
+  ASSERT_EQ(engine.Offload(2000, kNumKeys).offloaded_hot_items, kNumKeys);
+  net::FaultSchedule schedule;
+  schedule.events.push_back(
+      net::FaultEvent::SwitchReboot(kFaultAt, kDowntime, /*switch_id=*/0));
+  engine.InstallFaultSchedule(schedule);
+  trace::Sampler& sampler = engine.EnableTimeSeries(kBucket);
+  MetricsRegistry& reg = engine.metrics_registry();
+  sampler.AddCounterRate("probe_switch0",
+                         &reg.counter("switch.txns_completed"));
+  sampler.AddCounterRate("probe_switch1",
+                         &reg.counter("switch1.txns_completed"));
+
+  const Metrics m = engine.Run(/*warmup=*/0, kHorizon);
+  ASSERT_GT(m.committed, 0u);
+  ASSERT_EQ(engine.primary_switch(), 1u);
+
+  const int64_t served0 = SeriesSum(sampler, "probe_switch0");
+  const int64_t served1 = SeriesSum(sampler, "probe_switch1");
+  EXPECT_GT(served0, 0);
+  EXPECT_GT(served1, 0);
+  EXPECT_EQ(SeriesSum(sampler, "switch_txns"), served0 + served1);
   DumpFlightRecorderIfFailed(engine, schedule);
 }
 
