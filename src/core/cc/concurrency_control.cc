@@ -197,7 +197,7 @@ Value64 ConcurrencyControl::ApplyHostOp(
     if (op.has_src2()) operand += carried_value(op.operand_src2,
                                                 op.negate_src2);
   }
-  db::Row& row = table.GetOrCreate(key);
+  const db::Row row = table.GetOrCreate(key);
   assert(op.column < row.size());
   Value64& cell = row[op.column];
   switch (op.type) {

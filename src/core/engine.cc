@@ -328,9 +328,8 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
   for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
     const HotItem& item = graph.item(v);
     const LayoutPlan::ArrayRef arr = report.plan.arrays.at(item);
-    db::Row& row = catalog_->table(item.tuple.table).GetOrCreate(
-        item.tuple.key);
-    const Value64 value = row[item.column];
+    const Value64 value = catalog_->table(item.tuple.table).GetOrCreate(
+        item.tuple.key)[item.column];
     // Every switch provisions the identical layout (same allocator state,
     // same order => same addresses); backups start as exact replicas.
     sw::RegisterAddress primary_addr{};

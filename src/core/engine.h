@@ -130,15 +130,20 @@ class Engine {
   /// heard of fault injection.
   void InstallFaultSchedule(const net::FaultSchedule& schedule);
 
-  /// Pre-sizes per-tuple/per-record bookkeeping (CC version tables, WAL
-  /// record indexes and payload arenas) for a bounded run so the measured
-  /// window executes without growing any of them — the allocation-free
-  /// steady state the hot-path benchmarks assert. In sharded mode every
-  /// shard simulator, the cross-shard mailboxes and the global-event heap
-  /// are pre-sized too.
+  /// Pre-sizes per-tuple/per-record bookkeeping (table indexes and row
+  /// arenas, CC version tables, WAL record indexes and payload arenas) for
+  /// a bounded run so the measured window executes without growing any of
+  /// them — the allocation-free steady state the hot-path benchmarks
+  /// assert, whether or not the rows were materialized beforehand. In
+  /// sharded mode every shard simulator, the cross-shard mailboxes and the
+  /// global-event heap are pre-sized too.
   void ReserveSteadyState(size_t tuples_per_node, size_t wal_records_per_node,
                           size_t wal_payload_bytes_per_node) {
-    cc_->ReserveTupleCapacity(tuples_per_node * config_.num_nodes);
+    const size_t tuples = tuples_per_node * config_.num_nodes;
+    for (TableId t = 0; t < catalog_->num_tables(); ++t) {
+      catalog_->table(t).Reserve(tuples);
+    }
+    cc_->ReserveTupleCapacity(tuples);
     for (auto& wal : wals_) {
       wal->Reserve(wal_records_per_node, wal_payload_bytes_per_node);
     }

@@ -2,22 +2,23 @@
 #define P4DB_DB_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
+#include "common/arena.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace p4db::db {
 
-/// Fixed-width numeric row. String columns are dictionary-encoded to
-/// integers by the workloads (the same trick the switch needs, Table 1), so
-/// one representation serves both substrates.
-using Row = std::vector<Value64>;
+/// Fixed-width numeric row: a view of the row's `num_columns` values, which
+/// live inline in the owning table's arena. String columns are
+/// dictionary-encoded to integers by the workloads (the same trick the
+/// switch needs, Table 1), so one representation serves both substrates.
+using Row = std::span<Value64>;
 
 /// How a table's keys are spread over database nodes (shared-nothing
 /// partitioning, Section 7.1).
@@ -47,13 +48,19 @@ struct PartitionSpec {
   }
 };
 
-/// In-memory hash table storing one relation. Rows materialize lazily with
+/// In-memory table storing one relation. Rows materialize lazily with
 /// schema defaults: benchmark tables are logically huge (YCSB: 10^9 keys)
-/// but only touched keys occupy memory.
+/// but only touched keys occupy memory. A materialized row is
+/// `num_columns` contiguous values bump-allocated from the table's arena
+/// and indexed by an open-addressed key -> row map, so materializing a row
+/// costs no heap allocation of its own (only the occasional index rehash or
+/// fresh arena chunk, both of which Reserve can take up front). Arena
+/// chunks never move: a Row stays valid for the table's lifetime, across
+/// any number of index rehashes.
 class Table {
  public:
   Table(TableId id, std::string name, uint16_t num_columns,
-        PartitionSpec partition, Row default_row = {});
+        PartitionSpec partition, std::vector<Value64> default_row = {});
 
   TableId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -61,21 +68,23 @@ class Table {
   const PartitionSpec& partition() const { return partition_; }
 
   /// Row accessor; creates the row with defaults on first touch.
-  Row& GetOrCreate(Key key);
-  /// Read-only lookup; kNotFound if the row was never materialized.
-  const Row* Find(Key key) const;
-  bool Contains(Key key) const;
-  /// Explicit insert (kInsert op); fails if the key already exists.
-  Status Insert(Key key, Row row);
+  Row GetOrCreate(Key key);
+  /// Read-only lookup; an empty span if the row was never materialized.
+  std::span<const Value64> Find(Key key) const;
+
+  /// Pre-sizes the index and the arena so that materializing rows until
+  /// the table holds `rows` of them allocates nothing.
+  void Reserve(size_t rows);
 
   /// Switches the accessors to mutex-guarded mode for the parallel sharded
-  /// runtime: rows materialize lazily, so several shards can race the hash
-  /// map itself mid-run. Only the MAP structure is guarded — references
-  /// returned by GetOrCreate stay valid across rehashes (node-based map)
-  /// and row CONTENT synchronization remains the lock managers' job
-  /// (conflicting accesses are serialized by 2PL, and the lock handoff
-  /// always crosses a window barrier between shards). Legacy single-thread
-  /// runs never take the mutex.
+  /// runtime: rows materialize lazily, so several shards can race the index
+  /// and the arena mid-run (2PL runs a remote partition's ops on the
+  /// coordinator's shard, so no table is touched by its owner's shard
+  /// alone). Only the index and the arena are guarded — a returned Row
+  /// stays valid without the lock, and row CONTENT synchronization remains
+  /// the lock managers' job (conflicting accesses are serialized by 2PL,
+  /// and the lock handoff always crosses a window barrier between shards).
+  /// Legacy single-thread runs never take the mutex.
   void EnableConcurrentAccess() { concurrent_ = true; }
 
   size_t materialized_rows() const { return rows_.size(); }
@@ -85,27 +94,11 @@ class Table {
   std::string name_;
   uint16_t num_columns_;
   PartitionSpec partition_;
-  Row default_row_;
-  std::unordered_map<Key, Row> rows_;
+  std::vector<Value64> default_row_;
+  FlatMap<Key, Value64*> rows_;
+  Arena arena_;
   bool concurrent_ = false;
   mutable std::mutex mu_;
-};
-
-/// Secondary index mapping an alternate key to a primary key. Kept on the
-/// database nodes even for hot tuples (Section 6.1: "secondary indexes are
-/// supported by keeping them on the database nodes").
-class SecondaryIndex {
- public:
-  void Put(Key secondary, Key primary) { map_[secondary] = primary; }
-  StatusOr<Key> Lookup(Key secondary) const {
-    auto it = map_.find(secondary);
-    if (it == map_.end()) return Status::NotFound("secondary key");
-    return it->second;
-  }
-  size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<Key, Key> map_;
 };
 
 /// The cluster's schema and storage. In the simulator all node partitions
@@ -120,12 +113,11 @@ class Catalog {
   Catalog& operator=(const Catalog&) = delete;
 
   TableId CreateTable(std::string name, uint16_t num_columns,
-                      PartitionSpec partition, Row default_row = {});
+                      PartitionSpec partition,
+                      std::vector<Value64> default_row = {});
   Table& table(TableId id) { return *tables_[id]; }
   const Table& table(TableId id) const { return *tables_[id]; }
   size_t num_tables() const { return tables_.size(); }
-
-  SecondaryIndex& CreateSecondaryIndex(std::string name);
 
   /// Arms mutex-guarded access on every table (see
   /// Table::EnableConcurrentAccess). Called by the engine when the parallel
@@ -148,7 +140,6 @@ class Catalog {
  private:
   uint16_t num_nodes_;
   std::vector<std::unique_ptr<Table>> tables_;
-  std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
 };
 
 }  // namespace p4db::db

@@ -10,7 +10,7 @@ void SmallBank::Setup(db::Catalog* catalog) {
   db::PartitionSpec part;
   part.kind = db::PartitionSpec::Kind::kRange;
   part.block = accounts_per_node_;
-  const db::Row default_row = {config_.initial_balance};
+  const std::vector<Value64> default_row = {config_.initial_balance};
   savings_ = catalog->CreateTable("savings", 1, part, default_row);
   checking_ = catalog->CreateTable("checking", 1, part, default_row);
 }

@@ -1,6 +1,6 @@
-// Regression gate for the zero-allocation transaction hot path: once a
-// bounded working set is materialized and the growable bookkeeping is
-// pre-sized (Engine::ReserveSteadyState), the measured window of a
+// Regression gate for the zero-allocation transaction hot path: once the
+// growable bookkeeping of a bounded working set is pre-sized
+// (Engine::ReserveSteadyState, table rows included), the measured window of a
 // single-node closed-loop run must execute with EXACTLY zero global heap
 // allocations — under both concurrency-control protocols. Any failure here
 // means someone added a per-transaction (or per-event) allocation to the
@@ -30,13 +30,16 @@ core::SystemConfig SingleNode(core::CcProtocol cc) {
 }
 
 /// Mirrors bench_hotpath's strict alloc scenarios: bounded YCSB-A table,
-/// every row materialized before the run, CC/WAL/simulator storage reserved
-/// past the run's high-water mark. Returns the number of operator-new calls
-/// observed inside the measured window.
+/// every row materialized before the run (unless `materialize_first` is
+/// false, which leaves the rows to materialize lazily inside the window),
+/// table/CC/WAL/simulator storage reserved past the run's high-water mark.
+/// Returns the number of operator-new calls observed inside the measured
+/// window.
 uint64_t MeasuredWindowAllocs(core::CcProtocol cc, bool trace_full = false,
                               bool time_series = false,
                               void (*mutate)(core::SystemConfig&) = nullptr,
-                              SimTime warmup = 2 * kMillisecond) {
+                              SimTime warmup = 2 * kMillisecond,
+                              bool materialize_first = true) {
   constexpr uint64_t kKeys = 100000;
   wl::YcsbConfig wcfg;
   wcfg.variant = 'A';
@@ -55,10 +58,12 @@ uint64_t MeasuredWindowAllocs(core::CcProtocol cc, bool trace_full = false,
   if (time_series) engine.EnableTimeSeries(100 * kMicrosecond);
 
   db::Catalog& catalog = engine.catalog();
-  for (TableId t = 0; t < catalog.num_tables(); ++t) {
-    db::Table& table = catalog.table(t);
-    for (uint64_t k = 0; k < kKeys; ++k) {
-      table.GetOrCreate(static_cast<Key>(k));
+  if (materialize_first) {
+    for (TableId t = 0; t < catalog.num_tables(); ++t) {
+      db::Table& table = catalog.table(t);
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        table.GetOrCreate(static_cast<Key>(k));
+      }
     }
   }
   engine.ReserveSteadyState(kKeys, /*wal_records_per_node=*/1 << 18,
@@ -94,6 +99,25 @@ TEST(HotpathAllocTest, TwoPhaseLockingSteadyStateIsAllocationFree) {
 
 TEST(HotpathAllocTest, OccSteadyStateIsAllocationFree) {
   EXPECT_EQ(MeasuredWindowAllocs(core::CcProtocol::kOcc), 0u);
+}
+
+// Rows materialize on first touch inside the window: each new row is a
+// bump in the table's reserved arena plus a slot in its reserved index, so
+// lazy materialization itself must not allocate either.
+TEST(HotpathAllocTest, TwoPhaseLockingLazyRowsAreAllocationFree) {
+  EXPECT_EQ(MeasuredWindowAllocs(core::CcProtocol::k2pl, /*trace_full=*/false,
+                                 /*time_series=*/false, /*mutate=*/nullptr,
+                                 /*warmup=*/2 * kMillisecond,
+                                 /*materialize_first=*/false),
+            0u);
+}
+
+TEST(HotpathAllocTest, OccLazyRowsAreAllocationFree) {
+  EXPECT_EQ(MeasuredWindowAllocs(core::CcProtocol::kOcc, /*trace_full=*/false,
+                                 /*time_series=*/false, /*mutate=*/nullptr,
+                                 /*warmup=*/2 * kMillisecond,
+                                 /*materialize_first=*/false),
+            0u);
 }
 
 TEST(HotpathAllocTest, SteadyStateWithTracingAndSamplingIsAllocationFree) {
