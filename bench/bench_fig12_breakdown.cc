@@ -21,9 +21,8 @@ void Row(core::EngineMode mode, char variant, const BenchTime& time) {
       static_cast<double>(m.committed_by_class[0]);  // TxnClass::kHot
   const double cold = static_cast<double>(m.committed_by_class[1]);
   const double total = hot + cold;
-  const uint64_t hot_attempts = m.committed_by_class[0] + m.aborts_by_class[0];
-  const uint64_t cold_attempts =
-      m.committed_by_class[1] + m.aborts_by_class[1];
+  const uint64_t hot_attempts = m.attempts_by_class[0];
+  const uint64_t cold_attempts = m.attempts_by_class[1];
   std::printf("%-10s  YCSB-%c %12.0f %10.1f%% %10.1f%% %12.1f%% %12.1f%%\n",
               core::EngineModeName(mode), variant, r.throughput,
               total == 0 ? 0 : 100 * hot / total,

@@ -289,23 +289,6 @@ uint64_t Sampler::Series::HistBucket(int i) const {
 }
 
 void Sampler::AddCounterRate(std::string name,
-                             const MetricsRegistry::Counter* c) {
-  AddCounterRate(std::move(name),
-                 std::vector<const MetricsRegistry::Counter*>{c});
-}
-
-void Sampler::AddCounterLevel(std::string name,
-                              const MetricsRegistry::Counter* c) {
-  AddCounterLevel(std::move(name),
-                  std::vector<const MetricsRegistry::Counter*>{c});
-}
-
-void Sampler::AddHistogramQuantile(std::string name, const Histogram* h,
-                                   double q) {
-  AddHistogramQuantile(std::move(name), std::vector<const Histogram*>{h}, q);
-}
-
-void Sampler::AddCounterRate(std::string name,
                              std::vector<const MetricsRegistry::Counter*> cs) {
   Series s;
   s.name = std::move(name);

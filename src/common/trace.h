@@ -229,22 +229,18 @@ class Sampler {
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  /// Per-tick delta of a monotonic counter (e.g. commits per window).
-  void AddCounterRate(std::string name, const MetricsRegistry::Counter* c);
-  /// Absolute counter value at each tick.
-  void AddCounterLevel(std::string name, const MetricsRegistry::Counter* c);
-  /// Windowed quantile (bucket-diff between consecutive ticks) of a live
-  /// histogram; q in [0, 1]. Values are bucket midpoints (~4.6% error).
-  void AddHistogramQuantile(std::string name, const Histogram* h, double q);
-
-  /// Summed-source variants: each tick observes the sum over all sources,
-  /// as if they were one counter/histogram. The parallel runtime registers
-  /// one logical series backed by the per-shard instances of a metric; with
-  /// a single source the samples are byte-identical to the overloads above.
+  /// Each series observes the sum over its sources, as if they were one
+  /// counter/histogram: the engine registers one logical series backed by
+  /// the per-shard (and per-class) instances of a metric.
+  ///
+  /// Per-tick delta of monotonic counters (e.g. commits per window).
   void AddCounterRate(std::string name,
                       std::vector<const MetricsRegistry::Counter*> cs);
+  /// Absolute counter value at each tick.
   void AddCounterLevel(std::string name,
                        std::vector<const MetricsRegistry::Counter*> cs);
+  /// Windowed quantile (bucket-diff between consecutive ticks) of live
+  /// histograms; q in [0, 1]. Values are bucket midpoints (~4.6% error).
   void AddHistogramQuantile(std::string name,
                             std::vector<const Histogram*> hs, double q);
 

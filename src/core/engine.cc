@@ -167,17 +167,8 @@ Engine::Engine(const SystemConfig& config)
   }
 
   for (uint32_t s = 0; s < NodeShardCount(); ++s) {
-    EngineShard& es = *eshards_[s];
-    es.committed = &es.registry->counter("engine.committed");
-    es.aborted = &es.registry->counter("engine.aborted_attempts");
-    // Retry-cap series exist only when the cap is on, so unbounded-retry
-    // runs dump exactly the historical key set.
-    es.gaveup = config_.max_attempts > 0
-                    ? &es.registry->counter("engine.txn_gaveup")
-                    : &es.discard_counter;
-    es.attempts_hist = config_.max_attempts > 0
-                           ? &es.registry->histogram("engine.txn_attempts")
-                           : &es.discard_hist;
+    eshards_[s]->outcomes.Bind(eshards_[s]->registry,
+                               config_.max_attempts > 0);
   }
   crash_record_offset_.assign(config_.num_nodes, 0);
 
@@ -263,7 +254,6 @@ Engine::Engine(const SystemConfig& config)
   ctx.wals = &wals_;
   ctx.node_crashed = &node_crashed_;
   ctx.next_client_seq = &next_client_seq_;
-  ctx.metrics = &registry_;
   ctx.chaos_armed = &chaos_armed_;
   ctx.switch_up = &switch_up_;
   ctx.switch_epoch = &switch_epoch_;
@@ -374,11 +364,7 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
   // these references never go stale.
   sim::Simulator& hsim = *home.sim;
   trace::Tracer& htracer = *home.tracer;
-  Metrics& wmetrics = home.metrics;
-  MetricsRegistry::Counter& committed_c = *home.committed;
-  MetricsRegistry::Counter& aborted_c = *home.aborted;
-  MetricsRegistry::Counter& gaveup_c = *home.gaveup;
-  Histogram& attempts_h = *home.attempts_hist;
+  OutcomeRecorder& outcomes = home.outcomes;
   OpenLoopNode* ol =
       config_.open_loop.enabled ? open_loop_[node].get() : nullptr;
   std::vector<std::optional<Value64>> results;
@@ -446,10 +432,7 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
                                                    &results, &timers);
       attempt_span.End();
       if (ok) break;
-      if (measuring_) {
-        wmetrics.RecordAbort(txn.cls);
-        aborted_c.Increment();
-      }
+      if (measuring_) outcomes.Abort(txn.cls);
       ++attempt;
       if (config_.max_attempts > 0 &&
           static_cast<uint32_t>(attempt) >= config_.max_attempts) {
@@ -467,14 +450,12 @@ sim::Task Engine::RunWorker(NodeId node, WorkerId worker,
     txn_span.End();
     if (measuring_) {
       // Attempts used: aborts plus the final success (gave-up txns spent
-      // exactly `attempt` == max_attempts). Null sink unless capped.
-      attempts_h.Record(attempt + (committed ? 1 : 0));
+      // exactly `attempt` == max_attempts).
       if (committed) {
-        wmetrics.RecordCommit(txn.cls, txn.distributed, hsim.now() - epoch,
-                              timers);
-        committed_c.Increment();
+        outcomes.Commit(txn.cls, txn.distributed, hsim.now() - epoch, timers,
+                        attempt + 1);
       } else {
-        gaveup_c.Increment();
+        outcomes.GiveUp(attempt);
       }
     }
   }
@@ -648,16 +629,10 @@ Metrics Engine::Run(SimTime warmup, SimTime duration) {
   DropParkedHandles();
   for (auto& es : eshards_) es->sim->Resume();
 
-  // Deterministic merges in fixed shard order: node-shard Metrics fold into
-  // the result, shard-owned registries into the engine registry (the merged
-  // dump reproduces the legacy series names with summed values; the legacy
-  // shard owns no registry, so nothing merges there).
-  Metrics out;
-  for (uint32_t s = 0; s < NodeShardCount(); ++s) {
-    out.Merge(eshards_[s]->metrics);
-  }
+  // The one merge, in fixed shard order (the legacy shard owns no registry,
+  // so nothing merges there); the result is a projection of the merge.
   for (auto& es : eshards_) registry_.MergeFrom(es->own_registry);
-  return out;
+  return Metrics::FromRegistry(registry_);
 }
 
 void Engine::BeginWindow(SimTime warmup, SimTime duration) {
@@ -665,10 +640,7 @@ void Engine::BeginWindow(SimTime warmup, SimTime duration) {
   for (auto& lm : lock_managers_) lm->ResetStats();
   switch_lm_->ResetStats();
   registry_.Reset();
-  for (auto& es : eshards_) {
-    es->own_registry.Reset();
-    es->metrics = Metrics();
-  }
+  for (auto& es : eshards_) es->own_registry.Reset();
   for (IntCollector& ic : int_collectors_) ic.ResetWindow();
   if (sampler_ != nullptr) {
     // Baselines snapshot after the reset so the first window starts at
@@ -693,7 +665,7 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   // how much of the mix the switch absorbed, and tail latency — all as
   // curves over the measured window instead of end-of-run scalars. One
   // logical series per metric, summed over every node shard's (or switch's)
-  // instance; a single source samples byte-identically to a plain counter.
+  // instance, and for latency over the three per-class histograms.
   std::vector<const MetricsRegistry::Counter*> committed;
   std::vector<const MetricsRegistry::Counter*> aborted;
   std::vector<const Histogram*> latency;
@@ -701,9 +673,9 @@ trace::Sampler& Engine::EnableTimeSeries(SimTime tick) {
   std::vector<const MetricsRegistry::Counter*> accesses;
   for (uint32_t s = 0; s < NodeShardCount(); ++s) {
     EngineShard& es = *eshards_[s];
-    committed.push_back(es.committed);
-    aborted.push_back(es.aborted);
-    latency.push_back(&es.metrics.latency_all);
+    committed.push_back(es.outcomes.committed());
+    aborted.push_back(es.outcomes.aborted());
+    for (int c = 0; c < 3; ++c) latency.push_back(es.outcomes.latency(c));
     if (config_.int_telemetry.enabled) {
       // Postcard fold + register-touch rates, summed over the node
       // collectors (and, for accesses, over the per-switch key family).

@@ -266,8 +266,8 @@ class Engine {
   /// Per-node and per-switch runtime state, one slot per shard (see the
   /// class comment for the two tables). Everything a worker's hot path
   /// touches lives here, so no two shards share mutable state; the
-  /// mergeable pieces fold into the engine registry and the returned
-  /// Metrics in fixed shard order when Run finishes.
+  /// registries fold into the engine registry in fixed shard order when
+  /// Run finishes, and the returned Metrics is read from that merge.
   struct EngineShard {
     /// The shard's simulator, registry and tracer: its own when sharded,
     /// the engine's sim_ / registry_ / tracer_ for the legacy shard.
@@ -283,17 +283,8 @@ class Engine {
     uint64_t next_txn_id = 0;
     uint64_t id_stride = 1;
     uint64_t id_offset = 1;
-    Metrics metrics;  // node shards only (written by workers)
-    MetricsRegistry::Counter* committed = nullptr;
-    MetricsRegistry::Counter* aborted = nullptr;
-    MetricsRegistry::Counter* gaveup = nullptr;
-    Histogram* attempts_hist = nullptr;
-    /// Shard-private discard sinks for the retry-cap series when the cap
-    /// is off: the process-wide null sinks would be written from several
-    /// shards at once, and registering real series would change the dumped
-    /// key set of uncapped runs.
-    MetricsRegistry::Counter discard_counter;
-    Histogram discard_hist;
+    /// Node shards only: where workers record every transaction outcome.
+    OutcomeRecorder outcomes;
     /// Chaos only: this shard's deterministic fault stream, seeded
     /// seed_base.
     std::unique_ptr<net::FaultInjector> injector;
@@ -350,8 +341,7 @@ class Engine {
                       bool* done);
 
   /// Measurement-window start: resets every component's statistics and
-  /// every shard's registry and Metrics, arms the sampler, and opens the
-  /// window.
+  /// every shard's registry, arms the sampler, and opens the window.
   void BeginWindow(SimTime warmup, SimTime duration);
   /// Drops every queued event (and undelivered cross-shard record) so no
   /// event can outlive the coroutine frame it resumes.

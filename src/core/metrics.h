@@ -4,14 +4,15 @@
 #include <cstdint>
 
 #include "common/histogram.h"
+#include "common/metrics_registry.h"
 #include "common/types.h"
 #include "db/txn.h"
 
 namespace p4db::core {
 
-/// Per-transaction wall-time attribution (simulated ns), accumulated across
-/// all attempts of one transaction and folded into Metrics at commit.
-/// Drives the Figure 18a latency breakdown.
+/// Per-transaction wall-time attribution (simulated ns), accumulated by the
+/// CC layer across all attempts. Summed over committed transactions (the
+/// `engine.breakdown.*_ns` keys) it is the Figure 18a latency breakdown.
 struct TxnTimers {
   int64_t lock_wait = 0;      // lock manager round trips + queueing
   int64_t remote_access = 0;  // node<->node data round trips
@@ -24,24 +25,68 @@ struct TxnTimers {
     return lock_wait + remote_access + switch_access + local_work + commit +
            backoff;
   }
-
-  TxnTimers& operator+=(const TxnTimers& other) {
-    lock_wait += other.lock_wait;
-    remote_access += other.remote_access;
-    switch_access += other.switch_access;
-    local_work += other.local_work;
-    commit += other.commit;
-    backoff += other.backoff;
-    return *this;
-  }
 };
 
-inline TxnTimers operator+(TxnTimers lhs, const TxnTimers& rhs) {
-  lhs += rhs;
-  return lhs;
-}
+/// The TxnTimers terms in field order, which is the breakdown keys' order.
+inline constexpr int64_t TxnTimers::*kTimerTerms[6] = {
+    &TxnTimers::lock_wait,     &TxnTimers::remote_access,
+    &TxnTimers::switch_access, &TxnTimers::local_work,
+    &TxnTimers::commit,        &TxnTimers::backoff};
 
-/// Aggregated results of one simulated run.
+/// The one sink for transaction outcomes: handles into a node shard's
+/// registry, bound once, each fact written once. metrics.cc alone names
+/// the keys; Metrics::FromRegistry reads them back.
+class OutcomeRecorder {
+ public:
+  /// Registers the outcome keys in `registry`. Uncapped runs keep their
+  /// key set: the retry-cap series then go to this recorder's own sinks
+  /// (the process-wide null sinks would be shared across shards).
+  void Bind(MetricsRegistry* registry, bool retry_capped);
+
+  /// A transaction committed on its `attempts`-th attempt, `latency_ns`
+  /// after its issue (closed loop) or arrival (open loop) instant.
+  void Commit(db::TxnClass cls, bool distributed, int64_t latency_ns,
+              const TxnTimers& timers, int attempts) {
+    committed_->Increment();
+    if (distributed) committed_distributed_->Increment();
+    latency_[static_cast<int>(cls)]->Record(latency_ns);
+    for (int i = 0; i < 6; ++i) {
+      breakdown_[i]->Increment(static_cast<uint64_t>(timers.*kTimerTerms[i]));
+    }
+    attempts_->Record(attempts);
+  }
+  /// One attempt of a class-`cls` transaction aborted.
+  void Abort(db::TxnClass cls) {
+    aborted_->Increment();
+    aborted_by_class_[static_cast<int>(cls)]->Increment();
+  }
+  /// The retry budget ran out after `attempts` aborted attempts.
+  void GiveUp(int attempts) {
+    gaveup_->Increment();
+    attempts_->Record(attempts);
+  }
+
+  /// Sampler sources; the latency histograms are indexed by TxnClass.
+  const MetricsRegistry::Counter* committed() const { return committed_; }
+  const MetricsRegistry::Counter* aborted() const { return aborted_; }
+  const Histogram* latency(int cls) const { return latency_[cls]; }
+
+ private:
+  MetricsRegistry::Counter* committed_ = nullptr;
+  MetricsRegistry::Counter* committed_distributed_ = nullptr;
+  MetricsRegistry::Counter* aborted_ = nullptr;
+  MetricsRegistry::Counter* aborted_by_class_[3] = {};
+  Histogram* latency_[3] = {};
+  MetricsRegistry::Counter* breakdown_[6] = {};  // kTimerTerms order
+  MetricsRegistry::Counter* gaveup_ = nullptr;
+  Histogram* attempts_ = nullptr;
+  MetricsRegistry::Counter own_gaveup_;
+  Histogram own_attempts_;
+};
+
+/// Aggregated results of one simulated run: not a sink but the end-of-run
+/// projection of the merged registry's outcome keys. Per-class commits are
+/// the class histograms' counts, latency_all is their exact merge.
 struct Metrics {
   uint64_t committed = 0;
   uint64_t aborted_attempts = 0;
@@ -55,20 +100,8 @@ struct Metrics {
 
   TxnTimers breakdown;  // sums over committed transactions
 
-  void RecordCommit(db::TxnClass cls, bool distributed, int64_t latency_ns,
-                    const TxnTimers& timers) {
-    ++committed;
-    ++committed_by_class[static_cast<int>(cls)];
-    if (distributed) ++committed_distributed;
-    latency_all.Record(latency_ns);
-    latency_by_class[static_cast<int>(cls)].Record(latency_ns);
-    breakdown += timers;
-  }
-
-  void RecordAbort(db::TxnClass cls) {
-    ++aborted_attempts;
-    ++aborts_by_class[static_cast<int>(cls)];
-  }
+  /// Projects the outcome keys of `registry`; absent keys read as zero.
+  static Metrics FromRegistry(const MetricsRegistry& registry);
 
   /// Committed transactions per (real) second of simulated time.
   double Throughput(SimTime duration) const {
@@ -82,26 +115,6 @@ struct Metrics {
     return attempts == 0 ? 0.0
                          : static_cast<double>(aborted_attempts) /
                                static_cast<double>(attempts);
-  }
-
-  /// Folds another shard's metrics into this one (counts add, histograms
-  /// merge). All fields are order-independent sums, so merging the shards
-  /// in fixed shard order yields the same aggregate regardless of how many
-  /// threads executed them.
-  void Merge(const Metrics& other) {
-    committed += other.committed;
-    aborted_attempts += other.aborted_attempts;
-    for (int i = 0; i < 3; ++i) {
-      committed_by_class[i] += other.committed_by_class[i];
-      attempts_by_class[i] += other.attempts_by_class[i];
-      aborts_by_class[i] += other.aborts_by_class[i];
-    }
-    committed_distributed += other.committed_distributed;
-    latency_all.Merge(other.latency_all);
-    for (int i = 0; i < 3; ++i) {
-      latency_by_class[i].Merge(other.latency_by_class[i]);
-    }
-    breakdown += other.breakdown;
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
 #include "core/engine.h"
 #include "workload/smallbank.h"
@@ -308,22 +309,138 @@ TEST(EngineMetricsTest, ThroughputAndAbortRateMath) {
   EXPECT_DOUBLE_EQ(Metrics().Throughput(0), 0.0);
 }
 
-TEST(EngineMetricsTest, RecordCommitAccumulatesBreakdown) {
-  Metrics m;
+TEST(EngineMetricsTest, RecorderProjectsThroughRegistry) {
+  MetricsRegistry registry;
+  OutcomeRecorder outcomes;
+  outcomes.Bind(&registry, /*retry_capped=*/false);
   TxnTimers t;
   t.lock_wait = 10;
   t.switch_access = 20;
-  m.RecordCommit(db::TxnClass::kHot, /*distributed=*/true, /*latency=*/100,
-                 t);
-  m.RecordCommit(db::TxnClass::kCold, false, 200, t);
+  outcomes.Commit(db::TxnClass::kHot, /*distributed=*/true,
+                  /*latency_ns=*/100, t, /*attempts=*/1);
+  outcomes.Abort(db::TxnClass::kCold);
+  outcomes.Commit(db::TxnClass::kCold, false, 200, t, 2);
+  const Metrics m = Metrics::FromRegistry(registry);
   EXPECT_EQ(m.committed, 2u);
   EXPECT_EQ(m.committed_distributed, 1u);
+  EXPECT_EQ(m.aborted_attempts, 1u);
+  EXPECT_EQ(m.committed_by_class[0], 1u);
+  EXPECT_EQ(m.committed_by_class[1], 1u);
+  EXPECT_EQ(m.aborts_by_class[1], 1u);
+  EXPECT_EQ(m.attempts_by_class[0], 1u);
+  EXPECT_EQ(m.attempts_by_class[1], 2u);
   EXPECT_EQ(m.breakdown.lock_wait, 20);
   EXPECT_EQ(m.breakdown.switch_access, 40);
+  EXPECT_EQ(m.breakdown.Total(), 60);
   EXPECT_EQ(m.latency_by_class[0].count(), 1u);
   EXPECT_EQ(m.latency_all.count(), 2u);
-  EXPECT_EQ(m.breakdown.Total(), 60);
+  EXPECT_EQ(m.latency_all.sum(), 300);
+  EXPECT_EQ(m.latency_all.min(), 100);
+  EXPECT_EQ(m.latency_all.max(), 200);
+  // Uncapped retries register no retry-cap series; absent keys read as 0.
+  EXPECT_EQ(registry.FindCounter("engine.txn_gaveup"), nullptr);
+  EXPECT_EQ(Metrics::FromRegistry(MetricsRegistry()).committed, 0u);
 }
+
+void ExpectSameHistogram(const Histogram& a, const Histogram& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    ASSERT_EQ(a.bucket_count(i), b.bucket_count(i)) << "bucket " << i;
+  }
+}
+
+void ExpectSameMetrics(const Metrics& a, const Metrics& b) {
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.aborted_attempts, b.aborted_attempts);
+  EXPECT_EQ(a.committed_distributed, b.committed_distributed);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(a.committed_by_class[c], b.committed_by_class[c]);
+    EXPECT_EQ(a.attempts_by_class[c], b.attempts_by_class[c]);
+    EXPECT_EQ(a.aborts_by_class[c], b.aborts_by_class[c]);
+    ExpectSameHistogram(a.latency_by_class[c], b.latency_by_class[c]);
+  }
+  ExpectSameHistogram(a.latency_all, b.latency_all);
+  EXPECT_EQ(a.breakdown.lock_wait, b.breakdown.lock_wait);
+  EXPECT_EQ(a.breakdown.remote_access, b.breakdown.remote_access);
+  EXPECT_EQ(a.breakdown.switch_access, b.breakdown.switch_access);
+  EXPECT_EQ(a.breakdown.local_work, b.breakdown.local_work);
+  EXPECT_EQ(a.breakdown.commit, b.breakdown.commit);
+  EXPECT_EQ(a.breakdown.backoff, b.breakdown.backoff);
+}
+
+uint64_t CounterOf(const Engine& engine, const char* name) {
+  const MetricsRegistry::Counter* c =
+      engine.metrics_registry().FindCounter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+/// A contended P4DB YCSB run: only a quarter of the hot keys go to the
+/// switch, so the rest collide on the hosts and cold/warm attempts abort.
+struct ContendedRun {
+  explicit ContendedRun(int threads) : ycsb(SmallYcsb()) {
+    SystemConfig cfg = SmallCluster(EngineMode::kP4db);
+    cfg.threads = threads;
+    engine = std::make_unique<Engine>(cfg);
+    engine->SetWorkload(&ycsb);
+    engine->Offload(5000, 10);
+    metrics = engine->Run(kMillisecond, 3 * kMillisecond);
+  }
+  wl::Ycsb ycsb;
+  std::unique_ptr<Engine> engine;  // destroyed before the workload
+  Metrics metrics;
+};
+
+TEST(EngineMetricsTest, OneSinkIdentitiesHoldInBothRuntimes) {
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(threads);
+    const ContendedRun run(threads);
+    const Metrics& m = run.metrics;
+    const Engine& engine = *run.engine;
+    ASSERT_GT(m.committed, 0u);
+    ASSERT_GT(m.aborted_attempts, 0u);
+    uint64_t committed = 0;
+    uint64_t aborts = 0;
+    for (int c = 0; c < 3; ++c) {
+      committed += m.committed_by_class[c];
+      aborts += m.aborts_by_class[c];
+      // Every attempt either commits or aborts.
+      EXPECT_EQ(m.attempts_by_class[c],
+                m.committed_by_class[c] + m.aborts_by_class[c]);
+    }
+    EXPECT_EQ(committed, m.committed);
+    EXPECT_EQ(CounterOf(engine, "engine.committed"), m.committed);
+    EXPECT_EQ(m.latency_all.count(), m.committed);
+    EXPECT_EQ(aborts, m.aborted_attempts);
+    EXPECT_EQ(CounterOf(engine, "engine.aborted_attempts"),
+              m.aborted_attempts);
+    uint64_t attempts = 0;
+    for (uint64_t a : m.attempts_by_class) attempts += a;
+    EXPECT_EQ(attempts, m.committed + m.aborted_attempts);
+    uint64_t breakdown = 0;
+    for (const char* term : {"lock_wait", "remote_access", "switch_access",
+                             "local_work", "commit", "backoff"}) {
+      breakdown += CounterOf(
+          engine, ("engine.breakdown." + std::string(term) + "_ns").c_str());
+    }
+    EXPECT_EQ(static_cast<int64_t>(breakdown), m.breakdown.Total());
+    // The returned struct is exactly the projection of the dumped registry.
+    ExpectSameMetrics(m, Metrics::FromRegistry(engine.metrics_registry()));
+  }
+}
+
+TEST(EngineMetricsTest, ShardedThreadCountsReturnFieldEqualMetrics) {
+  // The two runtimes order same-instant events differently (DESIGN.md §4g),
+  // so their values legitimately differ; within the sharded runtime the
+  // thread count must not move a single field.
+  const ContendedRun one(1);
+  const ContendedRun two(2);
+  ASSERT_GT(one.metrics.aborted_attempts, 0u);
+  ExpectSameMetrics(one.metrics, two.metrics);
+}
+
 // --------------------------------------------------- money conservation --
 
 double TotalMoney(Engine& engine, wl::SmallBank& sb, uint64_t accounts) {

@@ -234,9 +234,9 @@ TEST(ReplicationTest, SwitchTxnSeriesCountsEverySwitch) {
   trace::Sampler& sampler = engine.EnableTimeSeries(kBucket);
   MetricsRegistry& reg = engine.metrics_registry();
   sampler.AddCounterRate("probe_switch0",
-                         &reg.counter("switch.txns_completed"));
+                         {&reg.counter("switch.txns_completed")});
   sampler.AddCounterRate("probe_switch1",
-                         &reg.counter("switch1.txns_completed"));
+                         {&reg.counter("switch1.txns_completed")});
 
   const Metrics m = engine.Run(/*warmup=*/0, kHorizon);
   ASSERT_GT(m.committed, 0u);

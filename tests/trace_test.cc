@@ -110,9 +110,9 @@ TEST(SamplerTest, RateLevelAndQuantileSeries) {
   MetricsRegistry::Counter& c = reg.counter("c");
   Histogram h;
   trace::Sampler s(&sim);
-  s.AddCounterRate("rate", &c);
-  s.AddCounterLevel("level", &c);
-  s.AddHistogramQuantile("p50", &h, 0.5);
+  s.AddCounterRate("rate", {&c});
+  s.AddCounterLevel("level", {&c});
+  s.AddHistogramQuantile("p50", {&h}, 0.5);
 
   sim.ScheduleAt(5, [&] {
     c.Increment();

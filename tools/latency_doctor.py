@@ -1,11 +1,27 @@
 #!/usr/bin/env python3
-"""Critical-path latency attribution report for INT-armed bench runs.
+"""Latency attribution report for bench runs.
 
-Reads a BENCH_<name>.json produced with --int (every RunWorkload entry then
-carries a "critical_path" section: per-term histogram summaries folded from
-returned INT postcards plus the host-recorded admission/WAL/commit terms)
-and prints, per load level, where a transaction's latency actually went —
-the dominant term and the share of total attributed time each term holds.
+Every run entry of a BENCH_<name>.json carries a "registry" dump, and with
+it the host-side breakdown (the Figure 18a terms) the engine records once
+per committed transaction:
+
+  engine.breakdown.lock_wait_ns       lock manager round trips + queueing
+  engine.breakdown.remote_access_ns   node<->node data round trips
+  engine.breakdown.switch_access_ns   node<->switch round trip incl. pipeline
+  engine.breakdown.local_work_ns      setup + tuple ops + WAL
+  engine.breakdown.commit_ns          2PC rounds / local commit
+  engine.breakdown.backoff_ns         abort penalty + retry backoff
+
+For every run entry the doctor prints each term as mean ns per committed
+transaction and as a share of their sum. A dump without these keys is
+rejected (exit 1): it predates the single metric sink.
+
+A BENCH_<name>.json produced with --int additionally has, in every
+RunWorkload entry, a "critical_path" section: per-term histogram summaries
+folded from returned INT postcards plus the host-recorded admission/WAL/
+commit terms. For those the doctor prints, per load level, where a
+transaction's latency actually went — the dominant term and the share of
+total attributed time each term holds.
 
 Attribution terms, end to end (see DESIGN.md section 4j):
   admission_wait_ns   client arrival -> session dispatch (open-loop only)
@@ -38,6 +54,9 @@ import argparse
 import json
 import sys
 
+BREAKDOWN_TERMS = ("lock_wait", "remote_access", "switch_access",
+                   "local_work", "commit", "backoff")
+BREAKDOWN_KEYS = [f"engine.breakdown.{t}_ns" for t in BREAKDOWN_TERMS]
 KNEE_RATIO = 0.95
 ADMISSION_TERM = "admission_wait_ns"
 SERVICE_TERMS = (
@@ -50,10 +69,55 @@ SERVICE_TERMS = (
 )
 
 
-def load_points(path):
+def run_label(run):
+    """Short identity of a run entry: its scenario, or mode/workload/load."""
+    if "scenario" in run:
+        return str(run["scenario"])
+    parts = [str(run[k]) for k in ("mode", "cc", "workload") if k in run]
+    if "offered_load" in run:
+        parts.append(f"offered={run['offered_load']:.0f}")
+    if "batch" in run:
+        parts.append(f"batch={run['batch']}")
+    return " ".join(parts) or "?"
+
+
+def report_breakdown(doc, path):
+    """Host-side breakdown per run entry; returns the rejection messages."""
+    runs = doc.get("runs", []) if isinstance(doc, dict) else []
+    runs = [r for r in runs if isinstance(r, dict) and "registry" in r]
+    if not runs:
+        return [f"{path}: no run entry carries a \"registry\" dump"]
+    errors = []
+    print("host-side latency breakdown (mean ns per committed txn, "
+          "share of the breakdown sum):")
+    print(f"  {'run':<40} {'committed':>10} " +
+          " ".join(f"{t:>20}" for t in BREAKDOWN_TERMS))
+    for run in runs:
+        registry = run["registry"]
+        counters = (registry.get("counters")
+                    if isinstance(registry, dict) else None)
+        if not isinstance(counters, dict):
+            counters = {}
+        missing = [k for k in BREAKDOWN_KEYS + ["engine.committed"]
+                   if not isinstance(counters.get(k), int)]
+        if missing:
+            errors.append(f"{run_label(run)}: registry lacks "
+                          f"{', '.join(missing)}")
+            continue
+        committed = counters["engine.committed"]
+        sums = [counters[k] for k in BREAKDOWN_KEYS]
+        total = sum(sums)
+        cells = []
+        for s in sums:
+            mean = s / committed if committed else 0.0
+            share = 100.0 * s / total if total else 0.0
+            cells.append(f"{mean:>12.0f} ({share:>4.1f}%)")
+        print(f"  {run_label(run):<40} {committed:>10} " + " ".join(cells))
+    return errors
+
+
+def load_points(doc):
     """Ladder entries (offered_load + critical_path), grouped by batch size."""
-    with open(path) as f:
-        doc = json.load(f)
     series = {}
     for run in doc.get("runs", []):
         if not isinstance(run, dict) or "scenario" in run:
@@ -142,9 +206,10 @@ def check_trace(path, failures):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="INT critical-path latency attribution report")
-    parser.add_argument("bench_json", help="BENCH_<name>.json from an "
-                        "--int run")
+        description="host-side breakdown and INT critical-path latency "
+        "attribution report")
+    parser.add_argument("bench_json", help="BENCH_<name>.json (from an "
+                        "--int run for the critical-path report)")
     parser.add_argument("--validate", action="store_true",
                         help="gate the knee attribution shift; exit 1 on "
                         "violation")
@@ -152,10 +217,26 @@ def main():
                         "run, cross-checked for INT records")
     args = parser.parse_args()
 
-    series = load_points(args.bench_json)
+    try:
+        with open(args.bench_json) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        print(f"latency_doctor: cannot read {args.bench_json}: {e}")
+        return 1
+    errors = report_breakdown(doc, args.bench_json)
+    if errors:
+        print(f"\nlatency_doctor: {args.bench_json} is missing the host-side "
+              f"breakdown keys (engine.breakdown.*_ns, engine.committed):")
+        for e in errors:
+            print(f"  - {e}")
+        return 1
+    print()
+
+    series = load_points(doc)
     if not series:
         print(f"{args.bench_json}: no load points with a critical_path "
-              f"section — run the bench with --int and an open-loop ladder")
+              f"section — run the bench with --int and an open-loop ladder "
+              f"for the INT critical-path report")
         return 1 if args.validate else 0
 
     failures = []
