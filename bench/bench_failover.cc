@@ -18,6 +18,8 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,7 +54,11 @@ void RunFailover(const BenchTime& time, uint16_t num_switches,
   net::FaultSchedule schedule;
   schedule.events.push_back(
       net::FaultEvent::SwitchReboot(fault_at, kDowntime));
-  engine.InstallFaultSchedule(schedule);
+  if (const Status st = engine.InstallFaultSchedule(schedule); !st.ok()) {
+    std::fprintf(stderr, "fault schedule rejected: %s\n",
+                 st.ToString().c_str());
+    std::exit(1);
+  }
 
   // The shared virtual-time sampler snapshots the commit counter every
   // bucket across the measured window. The ticks only read, so the observed

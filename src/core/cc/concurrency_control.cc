@@ -14,25 +14,25 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteAttempt(
     NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
     std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
   if (config().mode == EngineMode::kP4db) {
-    if (txn.cls != db::TxnClass::kCold && ctx_.ChaosArmed() &&
-        !ctx_.SwitchUp()) {
+    if (txn.cls != db::TxnClass::kCold && ctx_.faults->chaos_armed() &&
+        !ctx_.faults->switch_up()) {
       // Switch is dark: hot and warm transactions degrade to host-only
       // execution under the regular CC protocol — host rows for the hot
       // items were seeded from the WAL replay at crash time. During the
       // failback drain no NEW degraded work may start (its host writes
       // would race the register re-install), so abort and let the worker's
       // backoff carry the transaction past the drain window.
-      if (ctx_.SwitchDraining()) {
+      if (ctx_.faults->draining()) {
         co_await sim::Delay(ctx_.Sim(), ctx_.timing().abort_cost);
         timers->backoff += ctx_.timing().abort_cost;
         co_return false;
       }
       failovers_[node]->Increment();
       ctx_.Trace().Instant(trace::Category::kDegraded, ts, node);
-      ++ctx_.degraded_inflight[node];
+      ++ctx_.faults->degraded(node);
       const bool ok =
           co_await ExecuteCold(node, txn, txn_id, ts, results, timers);
-      --ctx_.degraded_inflight[node];
+      --ctx_.faults->degraded(node);
       co_return ok;
     }
     switch (txn.cls) {
@@ -50,13 +50,14 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteAttempt(
 
 sim::CoTask<std::optional<sw::SwitchResult>> ConcurrencyControl::SubmitToSwitch(
     sw::SwitchTxn txn) {
-  if (!ctx_.ChaosArmed()) {
+  if (!ctx_.faults->chaos_armed()) {
     // Fault-free runs take the historical deadline-free await; this path
     // produces the identical simulator event sequence as calling Submit
     // directly (the nested CoTask resumes by symmetric transfer).
-    co_return co_await ctx_.Primary()->Submit(std::move(txn));
+    co_return co_await ctx_.faults->primary_pipeline().Submit(std::move(txn));
   }
-  sim::Future<sw::SwitchResult> fut = ctx_.Primary()->Submit(std::move(txn));
+  sim::Future<sw::SwitchResult> fut =
+      ctx_.faults->primary_pipeline().Submit(std::move(txn));
   co_return co_await fut.WithTimeout(ctx_.timing().switch_timeout);
 }
 
@@ -90,7 +91,7 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteHot(
   const SimTime wal_begin = ctx_.Now();
   co_await sim::Delay(ctx_.Sim(), t.wal_append);
   timers->local_work += t.wal_append;
-  compiled->txn.epoch = ctx_.SwitchEpoch();
+  compiled->txn.epoch = static_cast<uint8_t>(ctx_.faults->epoch());
   const db::Lsn lsn = ctx_.wal(node).AppendSwitchIntent(
       compiled->txn.client_seq, compiled->txn.instrs);
   ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),

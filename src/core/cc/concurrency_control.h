@@ -95,7 +95,7 @@ class ConcurrencyControl {
                                TxnTimers* timers);
 
   /// Sends one compiled switch transaction. The caller must have stamped
-  /// txn.epoch with ctx_.SwitchEpoch() in the same synchronous block as the
+  /// txn.epoch with ctx_.faults->epoch() in the same synchronous block as the
   /// AppendSwitchIntent call — the epoch fence relies on packet epoch ==
   /// epoch-at-append, so the failback replay and the pipeline agree on
   /// exactly one applier for every intent. With no chaos harness armed this

@@ -7,6 +7,7 @@
 #include "common/trace.h"
 #include "common/types.h"
 #include "core/config.h"
+#include "core/fault_controller.h"
 #include "core/int_collector.h"
 #include "core/partition_manager.h"
 #include "core/shard_router.h"
@@ -25,10 +26,10 @@ namespace p4db::core::cc {
 
 /// Everything a concurrency-control strategy needs to execute transactions
 /// against one simulated cluster: the shared infrastructure owned by the
-/// Engine (simulator, rack network, switch pipeline, catalog, partition
+/// Engine (simulator, rack network, fault controller, catalog, partition
 /// manager, per-node lock managers and WALs) plus the mutable cluster state
-/// it must observe (crashed nodes) or advance (per-node client sequence
-/// numbers for switch packets).
+/// it must observe (crashed nodes, the switch's fault state) or advance
+/// (per-node client sequence numbers for switch packets, degraded counts).
 ///
 /// The context is a non-owning view — the Engine owns every pointee and
 /// guarantees they outlive the strategy. Copying the context copies the
@@ -37,12 +38,10 @@ struct ExecutionContext {
   const SystemConfig* config = nullptr;
   sim::Simulator* sim = nullptr;
   net::Network* net = nullptr;
-  sw::Pipeline* pipeline = nullptr;
-  /// All switch pipelines (index == switch id) and the engine's live
-  /// primary designation. Null in standalone/test contexts that wire only
-  /// `pipeline`; the Primary()/SwitchEp() helpers fall back accordingly.
-  const std::vector<std::unique_ptr<sw::Pipeline>>* pipelines = nullptr;
-  const uint16_t* primary_switch = nullptr;
+  /// Switch fault state: primary, epoch, armed / up / draining, degraded
+  /// counts. Unarmed it reports switch 0, epoch 0 and always up, so
+  /// strategies behave exactly as before fault injection existed.
+  FaultController* faults = nullptr;
   db::Catalog* catalog = nullptr;
   PartitionManager* pm = nullptr;
   const std::vector<std::unique_ptr<db::LockManager>>* lock_managers = nullptr;
@@ -55,32 +54,6 @@ struct ExecutionContext {
   /// Engine's tracer; never null (defaults to the shared inert instance so
   /// strategy code can emit unconditionally).
   trace::Tracer* tracer = &trace::Tracer::Disabled();
-
-  /// Failure-awareness view, all owned by the Engine. Null (the default)
-  /// means "no chaos harness attached": strategies must then behave exactly
-  /// as they did before fault injection existed — no timeouts, no epoch
-  /// stamping beyond 0, no degraded dispatch — so fault-free runs stay
-  /// byte-identical.
-  ///
-  /// chaos_armed: a fault schedule is installed; switch awaits get
-  /// deadlines and failover bookkeeping is live.
-  const bool* chaos_armed = nullptr;
-  /// False while the switch is down (between a scripted reboot and the
-  /// control plane finishing online re-provisioning).
-  const bool* switch_up = nullptr;
-  /// Current control-plane epoch to stamp into outgoing switch packets
-  /// (truncated to the packet's 8-bit field).
-  const uint32_t* switch_epoch = nullptr;
-  /// True while the failback is waiting for degraded transactions to drain
-  /// before re-installing register values; new hot/warm work must abort and
-  /// retry rather than start more degraded host writes the install would
-  /// miss.
-  const bool* switch_draining = nullptr;
-  /// Per-node counts of degraded (switch-down fallback) transactions
-  /// currently in flight, indexed by home node; the failback drain polls
-  /// the sum down to zero. Per-node so each entry is only ever touched by
-  /// its home shard in parallel runs.
-  uint32_t* degraded_inflight = nullptr;
 
   /// Cross-shard router; non-null exactly when the engine runs the parallel
   /// sharded runtime. Strategy code must go through the Sim()/Trace()/
@@ -105,26 +78,12 @@ struct ExecutionContext {
     return int_collectors != nullptr ? &(*int_collectors)[node] : nullptr;
   }
 
-  bool ChaosArmed() const { return chaos_armed != nullptr && *chaos_armed; }
-  bool SwitchUp() const { return switch_up == nullptr || *switch_up; }
-  bool SwitchDraining() const {
-    return switch_draining != nullptr && *switch_draining;
-  }
-  uint8_t SwitchEpoch() const {
-    return switch_epoch == nullptr ? 0 : static_cast<uint8_t>(*switch_epoch);
-  }
-
-  /// The switch currently serving hot/warm traffic (0 unless a replicated
-  /// cluster has promoted a backup). Strategies address all switch traffic
-  /// through these, so a view change re-aims every node atomically at the
+  /// The serving primary's endpoint. Strategies address all switch traffic
+  /// through it, so a view change re-aims every node atomically at the
   /// promotion instant.
-  uint16_t PrimaryId() const {
-    return primary_switch != nullptr ? *primary_switch : 0;
+  net::Endpoint SwitchEp() const {
+    return net::Endpoint::Switch(faults->primary());
   }
-  sw::Pipeline* Primary() const {
-    return pipelines != nullptr ? (*pipelines)[PrimaryId()].get() : pipeline;
-  }
-  net::Endpoint SwitchEp() const { return net::Endpoint::Switch(PrimaryId()); }
 
   db::LockManager& lock_manager(NodeId node) const {
     return *(*lock_managers)[node];

@@ -336,7 +336,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
   timers->local_work += t.wal_append;
   // Epoch stamp and intent append in one synchronous block (see
   // SubmitToSwitch's contract).
-  compiled->txn.epoch = ctx_.SwitchEpoch();
+  compiled->txn.epoch = static_cast<uint8_t>(ctx_.faults->epoch());
   const db::Lsn lsn = ctx_.wal(node).AppendSwitchIntent(
       compiled->txn.client_seq, compiled->txn.instrs);
   ctx_.tracer->CompleteSpan(wal_begin, sim.now(),

@@ -348,7 +348,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
   timers->local_work += t.wal_append;
   // Epoch stamp and intent append in one synchronous block (see
   // SubmitToSwitch's contract).
-  compiled->txn.epoch = ctx_.SwitchEpoch();
+  compiled->txn.epoch = static_cast<uint8_t>(ctx_.faults->epoch());
   const db::Lsn lsn = ctx_.wal(node).AppendSwitchIntent(
       compiled->txn.client_seq, compiled->txn.instrs);
   ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
@@ -423,7 +423,7 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
       } else {
         const auto arrivals =
             ctx_.net->MulticastFromSwitch(static_cast<uint32_t>(resp_bytes),
-                                          ctx_.PrimaryId());
+                                          ctx_.faults->primary());
         // Remote participants commit & release when the multicast reaches
         // them.
         participants.ForEachReverse([&](NodeId p) {

@@ -6,6 +6,40 @@
 
 namespace p4db::core {
 
+const char* EngineModeName(EngineMode mode) {
+  switch (mode) {
+    case EngineMode::kP4db:
+      return "P4DB";
+    case EngineMode::kNoSwitch:
+      return "No-Switch";
+    case EngineMode::kLmSwitch:
+      return "LM-Switch";
+    case EngineMode::kChiller:
+      return "Chiller";
+  }
+  return "?";
+}
+
+const char* CcProtocolName(CcProtocol protocol) {
+  switch (protocol) {
+    case CcProtocol::k2pl:
+      return "2PL";
+    case CcProtocol::kOcc:
+      return "OCC";
+  }
+  return "?";
+}
+
+const char* ArrivalProcessName(ArrivalProcess process) {
+  switch (process) {
+    case ArrivalProcess::kPoisson:
+      return "poisson";
+    case ArrivalProcess::kMmpp:
+      return "mmpp";
+  }
+  return "?";
+}
+
 Status ValidateConfig(const SystemConfig& config) {
   if (config.num_switches == 0) {
     return Status::InvalidArgument(

@@ -15,6 +15,7 @@
 #include "core/cc/concurrency_control.h"
 #include "core/config.h"
 #include "core/egress_batcher.h"
+#include "core/fault_controller.h"
 #include "core/int_collector.h"
 #include "core/layout.h"
 #include "core/metrics.h"
@@ -33,7 +34,6 @@
 #include "sim/task.h"
 #include "switchsim/control_plane.h"
 #include "switchsim/pipeline.h"
-#include "switchsim/replication.h"
 #include "workload/workload.h"
 
 namespace p4db::core {
@@ -52,8 +52,9 @@ struct OffloadReport {
 /// four engine modes (P4DB, No-Switch, LM-Switch, Chiller).
 ///
 /// The Engine is a thin orchestrator: it owns the shared infrastructure,
-/// runs the closed-loop workers, performs the offline offload and the
-/// crash/recovery hooks — and delegates all transaction execution to a
+/// runs the closed-loop workers, performs the offline offload and the node
+/// crash/recovery hooks — delegates switch faults and replication to a
+/// FaultController, and all transaction execution to a
 /// pluggable cc::ConcurrencyControl strategy (TwoPhaseLocking or
 /// OptimisticCC, selected by SystemConfig::cc_protocol) that sees the
 /// cluster through a cc::ExecutionContext.
@@ -107,13 +108,13 @@ class Engine {
   // -- Crash / recovery hooks (Section 6.1, Appendix A.3) --
 
   /// Power-cycles the switch: all register state and allocations are lost.
-  void SimulateSwitchCrash();
+  void SimulateSwitchCrash() { control_plane().Reset(); }
   /// Marks a node as crashed: its WAL survives, but gids of its in-flight
   /// switch transactions can never be filled in.
   void SimulateNodeCrash(NodeId node);
   /// Rebuilds the switch state from all node WALs (delegates to
   /// RecoverSwitchState in core/recovery.h).
-  Status RecoverSwitch();
+  Status RecoverSwitch() { return faults_->RecoverPrimary(); }
   /// Brings a crashed node back: scans its WAL (committed records and
   /// switch intents are durable; applying in-flight intents is the switch
   /// recovery's job) and, if a run is in progress, respawns its workers
@@ -127,8 +128,9 @@ class Engine {
   /// restart) is scheduled at its absolute simulated time. Runs are
   /// reproducible from (config.seed, schedule); an empty schedule arms
   /// nothing and leaves the run byte-identical to an engine that never
-  /// heard of fault injection.
-  void InstallFaultSchedule(const net::FaultSchedule& schedule);
+  /// heard of fault injection. A schedule naming an unknown switch or node
+  /// is rejected (InvalidArgument) before anything arms.
+  Status InstallFaultSchedule(const net::FaultSchedule& schedule);
 
   /// Pre-sizes per-tuple/per-record bookkeeping (table indexes and row
   /// arenas, CC version tables, WAL record indexes and payload arenas) for
@@ -195,29 +197,17 @@ class Engine {
   /// with the legacy runtime's single ring, Tracer::ToChromeJson).
   std::string TraceJson(std::string_view fault_schedule_json = {});
 
-  bool chaos_armed() const { return chaos_armed_; }
-  bool switch_up() const { return switch_up_; }
-  /// Control-plane epoch, bumped on every switch reboot; stamped (mod 256)
-  /// into switch packets so the pipeline fences pre-crash stragglers.
-  uint32_t switch_epoch() const { return switch_epoch_; }
-
-  // -- Replication (num_switches >= 2) --
-
-  /// Switch currently serving hot transactions (always 0 with one switch).
-  uint16_t primary_switch() const { return primary_switch_; }
-  /// Replication view, bumped at every promotion / WAL re-provisioning;
-  /// records stamped with an older view are fenced at the backup.
-  uint32_t replication_view() const { return rep_view_; }
-  bool switch_alive(uint16_t sw) const { return switch_alive_[sw]; }
-  /// Chain successor currently receiving the primary's records; -1 = none.
-  int replication_target() const { return rep_target_; }
+  /// Switch fault and replication state (primary, epoch, view, liveness).
+  const FaultController& faults() const { return *faults_; }
 
   // -- Accessors --
   const SystemConfig& config() const { return config_; }
   /// The primary switch's pipeline / control plane (the only ones with one
   /// switch); use the indexed overloads to inspect a specific replica.
-  sw::Pipeline& pipeline() { return *pipelines_[primary_switch_]; }
-  sw::ControlPlane& control_plane() { return *control_planes_[primary_switch_]; }
+  sw::Pipeline& pipeline() { return *pipelines_[faults_->primary()]; }
+  sw::ControlPlane& control_plane() {
+    return control_plane(faults_->primary());
+  }
   sw::Pipeline& pipeline(uint16_t sw) { return *pipelines_[sw]; }
   sw::ControlPlane& control_plane(uint16_t sw) { return *control_planes_[sw]; }
   db::Catalog& catalog() { return *catalog_; }
@@ -378,59 +368,6 @@ class Engine {
     return es.next_txn_id++ * es.id_stride + es.id_offset;
   }
 
-  // Chaos-harness event handlers (scheduled by InstallFaultSchedule).
-  /// Crash instant for switch `sw`. A backup going dark only retargets the
-  /// replication stream. A primary crash with a live backup starts an
-  /// epoch-fenced view change (brief pause, then PromoteBackup); with no
-  /// live backup it falls back to the classic dark period: seed host rows
-  /// for all hot items from the WAL replay, wipe the data plane. Traffic
-  /// continues degraded.
-  void OnSwitchCrash(uint16_t sw);
-  /// Downtime elapsed for switch `sw`: re-provision it as sole primary (no
-  /// live peer), rejoin it as a backup (live primary), or wait out a view
-  /// change still mid-pause. Idempotent: a second failback for a switch
-  /// that is already up is a no-op.
-  void BeginFailback(uint16_t sw);
-  /// Re-provisions the primary's registers from host rows + straggler
-  /// intents and reopens the switch. Polls itself until the degraded count
-  /// hits zero.
-  void FinalizeFailback();
-
-  // -- Replication machinery (all inert while num_switches == 1) --
-
-  /// Factored PR-3 crash seeding: host rows of every hot item take the
-  /// switch's last committed state (baseline + logged intents since the
-  /// recovery watermark) so degraded traffic executes against them.
-  void SeedHostRowsFromWal();
-  /// Ring successor of `sw` among the alive switches, excluding `sw`
-  /// itself; -1 when it is the only candidate left.
-  int NextAliveSwitch(uint16_t sw) const;
-  /// Sink callback of switch `from`'s pipeline: track the record in the
-  /// primary's own ReplicaState, then ship it over the inter-switch link.
-  void ForwardReplication(uint16_t from, const sw::ReplicationRecord& rec);
-  /// Record arrival at backup `sw`: fence stale views, dedupe by
-  /// (origin, client_seq), apply slot writes that advance their seq.
-  void ApplyReplicationRecord(uint16_t sw, const sw::ReplicationRecord& rec);
-  /// Recomputes rep_target_ from the alive set; on change, snapshots the
-  /// new target from the primary so its (registers, seen-set) pair starts
-  /// consistent mid-stream.
-  void RetargetReplication();
-  /// Control-plane state transfer primary -> `sw` at a quiescent instant:
-  /// allocations, register values and replication bookkeeping.
-  void SnapshotBackup(uint16_t sw);
-  /// View change: reconcile backup `np`'s replicated state against the
-  /// WALs (apply intents the stream never delivered, exactly once), bump
-  /// view + epoch, and open `np` as the new primary.
-  void PromoteBackup(uint16_t np);
-
-  /// Per-pipeline replication sink: tags records with the emitting switch.
-  struct RepChannel : sw::ReplicationSink {
-    RepChannel(Engine* e, uint16_t sw) : engine(e), from_switch(sw) {}
-    void OnRecord(const sw::ReplicationRecord& rec) override;
-    Engine* engine;
-    uint16_t from_switch;
-  };
-
   SystemConfig config_;
   const bool sharded_;
   sim::Simulator sim_;
@@ -475,50 +412,21 @@ class Engine {
 
   std::vector<uint32_t> next_client_seq_;
 
-  // Chaos-harness state. All inert (and the counters unregistered) until
-  // InstallFaultSchedule arms a non-empty schedule, so fault-free runs dump
-  // exactly the historical metric key set.
+  /// The installed fault schedule (the injectors read it); empty until
+  /// InstallFaultSchedule arms a non-empty one.
   net::FaultSchedule fault_schedule_;
-  bool chaos_armed_ = false;
-  bool switch_up_ = true;
-  bool switch_draining_ = false;
-  uint32_t switch_epoch_ = 0;
-  /// Per home node, each entry only ever touched by its owning shard (the
-  /// legacy runtime simply uses all entries from its one thread); the
-  /// failback drain sums them at a quiescent point.
-  std::vector<uint32_t> degraded_inflight_;
-  /// Per-node WAL record count captured at the crash instant; records at or
-  /// after it are stragglers (intent appended after the host rows were
-  /// seeded) and are replayed onto the host-row baseline at failback.
-  std::vector<size_t> crash_record_offset_;
   /// Generation counter salting respawned workers' RNG streams.
   uint64_t recover_generation_ = 0;
-
-  // Replication state. Sized in the constructor; everything below except
-  // switch_alive_ stays empty/zero with one switch, so single-switch runs
-  // are byte-identical to the pre-replication engine.
-  std::vector<bool> switch_alive_;
-  uint16_t primary_switch_ = 0;
-  /// Chain successor currently receiving the primary's records; -1 = none
-  /// (sole survivor, or single-switch cluster).
-  int rep_target_ = -1;
-  uint32_t rep_view_ = 0;
-  /// Per-switch inter-switch egress link occupancy (records serialize one
-  /// after another, like every other link in the rack).
-  std::vector<SimTime> rep_link_busy_;
-  /// What each switch knows of the replication stream; see ReplicaState.
-  std::vector<sw::ReplicaState> replica_states_;
-  std::vector<std::unique_ptr<RepChannel>> rep_channels_;
-  /// "switch.rep_*" counters, per switch (in the switch's home registry).
-  std::vector<MetricsRegistry::Counter*> rep_sent_;
-  std::vector<MetricsRegistry::Counter*> rep_applied_;
-  std::vector<MetricsRegistry::Counter*> rep_stale_;
 
   /// Per-node INT postcard collectors (config.int_telemetry.enabled only;
   /// empty otherwise so INT-off runs carry no collector state at all).
   /// Sized once in the constructor — element addresses stay stable for the
   /// ExecutionContext view below.
   std::vector<IntCollector> int_collectors_;
+
+  /// Switch crash, failback, view change and replication. Declared after
+  /// every component it points at.
+  std::unique_ptr<FaultController> faults_;
 
   /// The pluggable execution strategy. Declared last: its ExecutionContext
   /// points at the members above.

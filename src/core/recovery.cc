@@ -208,42 +208,56 @@ StatusOr<WalReplayResult> ReplayWalSwitchState(
   return result;
 }
 
+StatusOr<WalReplayResult> ReplaySinceWatermark(
+    const PartitionManager& pm, const std::vector<const db::Wal*>& logs,
+    bool best_effort) {
+  std::unordered_map<uint64_t, Value64> initial;
+  for (const PartitionManager::HotEntry& e : pm.entries()) {
+    initial[PackAddr(e.addr)] = e.initial_value;
+  }
+  return ReplayWalSwitchState(
+      std::move(initial), logs,
+      {.first_record = pm.recovery_watermarks(), .best_effort = best_effort});
+}
+
+Status ProvisionSwitch(const PartitionManager& pm,
+                       const std::unordered_map<uint64_t, Value64>& state,
+                       sw::ControlPlane* control_plane) {
+  if (control_plane->allocated_slots() == 0) {
+    for (const PartitionManager::HotEntry& e : pm.entries()) {
+      auto addr = control_plane->AllocateSlot(e.addr.stage, e.addr.reg);
+      if (!addr.ok()) return addr.status();
+      if (!(*addr == e.addr)) {
+        return Status::Internal("layout reinstall diverged from original");
+      }
+    }
+  }
+  for (const PartitionManager::HotEntry& e : pm.entries()) {
+    Status st =
+        control_plane->InstallValue(e.addr, state.at(PackAddr(e.addr)));
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
 Status RecoverSwitchState(const PartitionManager& pm,
                           const std::vector<const db::Wal*>& logs,
                           sw::ControlPlane* control_plane) {
-  // Step 1: reinstall the layout. The control-plane allocator is
-  // deterministic, so allocating in the original registration order yields
-  // the original addresses.
-  std::unordered_map<uint64_t, Value64> initial;
-  for (const PartitionManager::HotEntry& e : pm.entries()) {
-    auto addr = control_plane->AllocateSlot(e.addr.stage, e.addr.reg);
-    if (!addr.ok()) return addr.status();
-    if (!(*addr == e.addr)) {
-      return Status::Internal("layout reinstall diverged from original");
-    }
-    initial[PackAddr(e.addr)] = e.initial_value;
-  }
-
-  // Steps 2-3: replay committed intents and place in-flight ones.
-  WalReplayOptions options;
-  options.first_record = pm.recovery_watermarks();
+  // Steps 2-3: replay committed intents and place in-flight ones, from the
+  // values the items had at offload time (or at the last failback).
   StatusOr<WalReplayResult> replay =
-      ReplayWalSwitchState(std::move(initial), logs, options);
+      ReplaySinceWatermark(pm, logs, /*best_effort=*/false);
   if (!replay.ok()) return replay.status();
 
-  // Step 4: materialize the final state into the data plane.
-  for (const PartitionManager::HotEntry& e : pm.entries()) {
-    Status st =
-        control_plane->InstallValue(e.addr, replay->state[PackAddr(e.addr)]);
-    if (!st.ok()) return st;
-  }
-  // Restart the GID counter above everything recovered; never move it
-  // backwards (an online failback may already have advanced it past the
-  // post-watermark records replayed here).
+  // Steps 1 and 4: reinstall the layout and materialize the final state
+  // into the data plane.
+  Status st = ProvisionSwitch(pm, replay->state, control_plane);
+  if (!st.ok()) return st;
+  // An online failback may already have advanced the counter past the
+  // post-watermark records replayed here; RestartGid never moves it back.
   sw::Pipeline* pipeline = control_plane->pipeline();
   pipeline->set_next_gid(
-      std::max(pipeline->next_gid(),
-               replay->max_gid + static_cast<Gid>(replay->num_inflight) + 1));
+      RestartGid(pipeline->next_gid(), replay->max_gid, replay->num_inflight));
   return Status::Ok();
 }
 

@@ -1,6 +1,7 @@
 #ifndef P4DB_CORE_RECOVERY_H_
 #define P4DB_CORE_RECOVERY_H_
 
+#include <algorithm>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -49,13 +50,33 @@ struct WalReplayOptions {
 /// Steps 2-3 of switch recovery as a pure function: gathers switch-intent
 /// records from `logs`, replays committed ones (gid order) and places
 /// in-flight ones by dependency inference, starting from `initial`
-/// register values. Shared by offline RecoverSwitchState and the engine's
-/// online crash/failback paths (which replay onto host rows while traffic
-/// continues).
+/// register values. Shared by offline RecoverSwitchState and the fault
+/// controller's online crash/failback paths (which replay onto host rows
+/// while traffic continues).
 StatusOr<WalReplayResult> ReplayWalSwitchState(
     std::unordered_map<uint64_t, Value64> initial,
     const std::vector<const db::Wal*>& logs,
     const WalReplayOptions& options = {});
+
+/// The switch's last committed state: the intents since `pm`'s recovery
+/// watermarks, replayed onto the hot items' values there.
+StatusOr<WalReplayResult> ReplaySinceWatermark(
+    const PartitionManager& pm, const std::vector<const db::Wal*>& logs,
+    bool best_effort);
+
+/// Provisions `control_plane` with `pm`'s hot set. A fresh plane (nothing
+/// allocated) first allocates every entry in registration order, which the
+/// deterministic allocator maps back to its recorded address (checked).
+/// Then each slot gets `state[PackAddr(addr)]`.
+Status ProvisionSwitch(const PartitionManager& pm,
+                       const std::unordered_map<uint64_t, Value64>& state,
+                       sw::ControlPlane* control_plane);
+
+/// GID restart after a rebuild (Section 6.1): above every GID seen, plus
+/// `headroom` for intents applied without a known GID; never backwards.
+inline Gid RestartGid(Gid next, Gid max_gid, size_t headroom) {
+  return std::max(next, max_gid + 1) + static_cast<Gid>(headroom);
+}
 
 /// Rebuilds the switch register state after a switch power cycle from the
 /// nodes' write-ahead logs (Section 6.1, Appendix A.3):
@@ -74,7 +95,7 @@ StatusOr<WalReplayResult> ReplayWalSwitchState(
 ///     distinguishes the orders, any position is serializable and the
 ///     earliest is used.
 ///
-/// Also restarts the GID counter above everything recovered.
+/// Also restarts the GID counter above everything recovered (RestartGid).
 Status RecoverSwitchState(const PartitionManager& pm,
                           const std::vector<const db::Wal*>& logs,
                           sw::ControlPlane* control_plane);

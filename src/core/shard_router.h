@@ -36,10 +36,13 @@ namespace p4db::core {
 /// switch shard. The sender leg (egress link + flight) is computed on the
 /// sending shard; the receiver leg (rx service) is computed by the mailbox
 /// record when it executes on the destination shard. Timing matches the
-/// legacy single-simulator Network except for one documented deviation:
-/// node->node messages fly point to point in 2x one_way without contending
-/// for the switch downlink (routing them through the switch shard would
-/// add a third hop the legacy model doesn't have).
+/// legacy single-simulator Network except for two documented deviations:
+///  - node->node messages fly point to point in 2x one_way without
+///    contending for the switch downlink (routing them through the switch
+///    shard would add a third hop the legacy model doesn't have);
+///  - the host rx path is reserved when a message arrives (the receiver
+///    leg runs on the destination shard), where the legacy Network reserves
+///    it at send time.
 ///
 /// All mailbox-record lambdas must fit InlineEvent's inline capacity; the
 /// capture sets below are sized for that (<= 40 bytes).

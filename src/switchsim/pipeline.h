@@ -135,6 +135,9 @@ class Pipeline {
   const PipelineStats& stats() const { return stats_; }
   void ResetStats() { stats_ = PipelineStats(); }
 
+  /// The switch's clock: its shard's simulator time.
+  SimTime now() const { return sim_->now(); }
+
   /// Next GID that would be assigned (monotonically increasing from 1).
   Gid next_gid() const { return next_gid_; }
   /// Control-plane override after recovery (Section 6.1): restart the GID
@@ -147,9 +150,6 @@ class Pipeline {
   /// reboot wipes the registers, pre-crash packets still in flight must not
   /// touch the re-provisioned state.
   uint8_t epoch() const { return epoch_; }
-  /// False between Reboot() and PowerOn(): the data plane is mid power
-  /// cycle and drops every arriving packet.
-  bool is_up() const { return !down_; }
   /// Power-cycle the data plane: the switch goes dark (every packet
   /// arriving before PowerOn is dropped and counted as fenced) and the lock
   /// register clears (its state is SRAM too). Register contents and

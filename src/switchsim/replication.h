@@ -44,13 +44,14 @@ inline uint32_t ReplicationWireSize(const ReplicationRecord& rec) {
   return 18 + static_cast<uint32_t>(rec.writes.size()) * 24 + 42;
 }
 
-/// Consumer of a pipeline's replication stream. The engine installs one per
-/// primary-capable pipeline; the pipeline calls it synchronously at
-/// final-pass time, and the sink models the inter-switch link delay.
+/// Consumer of the pipelines' replication streams (the fault controller).
+/// Each pipeline calls it synchronously at final-pass time with its own
+/// switch id, and the sink models the inter-switch link delay.
 class ReplicationSink {
  public:
   virtual ~ReplicationSink() = default;
-  virtual void OnRecord(const ReplicationRecord& rec) = 0;
+  virtual void OnReplicationRecord(uint16_t from,
+                                   const ReplicationRecord& rec) = 0;
 };
 
 /// Exactly-once filter over one node's client_seq stream: a contiguous

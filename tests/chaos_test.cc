@@ -81,7 +81,7 @@ ChaosRun RunChaos(uint64_t seed, const net::FaultSchedule& schedule) {
   Engine engine(ChaosCluster(seed));
   engine.SetWorkload(&ycsb);
   engine.Offload(5000, 40);
-  engine.InstallFaultSchedule(schedule);
+  EXPECT_TRUE(engine.InstallFaultSchedule(schedule).ok());
   const Metrics m = engine.Run(kMillisecond, 4 * kMillisecond);
   EXPECT_GT(m.committed, 0u);
   ChaosRun out;
@@ -145,6 +145,31 @@ TEST(FaultScheduleTest, JsonNamesEveryEvent) {
   EXPECT_TRUE(net::FaultSchedule{}.empty());
 }
 
+TEST(FaultScheduleTest, OutOfRangeTargetsAreRejectedBeforeArming) {
+  wl::Ycsb ycsb(SmallYcsb());
+  const SystemConfig cfg = ChaosCluster(ChaosSeed());
+  Engine engine(cfg);
+  engine.SetWorkload(&ycsb);
+  engine.Offload(5000, 40);
+  // Each bad schedule leads with a valid event and link faults: rejection
+  // must come before any of it arms.
+  net::FaultSchedule bad_switch = StandardChaos();
+  bad_switch.events.push_back(net::FaultEvent::SwitchReboot(
+      3 * kMillisecond, 100 * kMicrosecond, /*switch_id=*/cfg.num_switches));
+  net::FaultSchedule bad_node = StandardChaos();
+  bad_node.events.push_back(
+      net::FaultEvent::NodeCrash(3 * kMillisecond, cfg.num_nodes));
+  EXPECT_EQ(engine.InstallFaultSchedule(bad_switch).code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(engine.InstallFaultSchedule(bad_node).code(),
+            Code::kInvalidArgument);
+  EXPECT_FALSE(engine.faults().chaos_armed());
+  EXPECT_EQ(engine.metrics_registry().FindCounter("switch.stale_epoch_drops"),
+            nullptr);
+  EXPECT_EQ(engine.metrics_registry().FindCounter("net.injected_drops"),
+            nullptr);
+}
+
 TEST(ChaosDeterminismTest, SameSeedAndScheduleAreByteIdentical) {
   const uint64_t seed = ChaosSeed();
   const net::FaultSchedule schedule = StandardChaos();
@@ -175,8 +200,8 @@ TEST(ChaosDeterminismTest, NullScheduleIsByteIdenticalToPlainEngine) {
     Engine engine(ChaosCluster(seed));
     engine.SetWorkload(&ycsb);
     engine.Offload(5000, 40);
-    engine.InstallFaultSchedule(net::FaultSchedule{});
-    EXPECT_FALSE(engine.chaos_armed());
+    ASSERT_TRUE(engine.InstallFaultSchedule(net::FaultSchedule{}).ok());
+    EXPECT_FALSE(engine.faults().chaos_armed());
     engine.Run(kMillisecond, 3 * kMillisecond);
     with_null_schedule = engine.metrics_registry().ToJson();
   }

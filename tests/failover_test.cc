@@ -130,7 +130,7 @@ TEST(FailoverTest, SwitchRebootLosesNothingAndRecoversThroughput) {
   const SimTime horizon = 8 * kMillisecond;
   net::FaultSchedule schedule;
   schedule.events.push_back(net::FaultEvent::SwitchReboot(fault_at, downtime));
-  engine.InstallFaultSchedule(schedule);
+  ASSERT_TRUE(engine.InstallFaultSchedule(schedule).ok());
 
   // Sample the committed counter every 200us through the engine's shared
   // time-series sampler, so the timeline around the fault is visible as
@@ -141,8 +141,8 @@ TEST(FailoverTest, SwitchRebootLosesNothingAndRecoversThroughput) {
 
   const Metrics m = engine.Run(/*warmup=*/0, horizon);
   ASSERT_GT(m.committed, 0u);
-  EXPECT_TRUE(engine.switch_up());
-  EXPECT_EQ(engine.switch_epoch(), 1u);
+  EXPECT_TRUE(engine.faults().switch_up());
+  EXPECT_EQ(engine.faults().epoch(), 1u);
 
   // -- Fencing and degradation actually happened. --
   EXPECT_GT(
@@ -222,10 +222,10 @@ TEST(FailoverTest, MidRunCrashLeavesRecoverableWalTail) {
   net::FaultSchedule schedule;
   schedule.events.push_back(
       net::FaultEvent::SwitchReboot(3 * kMillisecond, kSecond));
-  engine.InstallFaultSchedule(schedule);
+  ASSERT_TRUE(engine.InstallFaultSchedule(schedule).ok());
   const Metrics m = engine.Run(/*warmup=*/0, 4 * kMillisecond);
   ASSERT_GT(m.committed, 0u);
-  EXPECT_FALSE(engine.switch_up());
+  EXPECT_FALSE(engine.faults().switch_up());
 
   const WalCounts wal = CountWalRecords(engine);
   // Packets in flight at the crash instant were dropped by the dark data
@@ -259,12 +259,12 @@ TEST(FailoverTest, DoubleFailbackIsIdempotent) {
       net::FaultEvent::SwitchReboot(fault_at, 500 * kMicrosecond));
   schedule.events.push_back(net::FaultEvent::SwitchReboot(
       fault_at + 100 * kMicrosecond, 500 * kMicrosecond));
-  engine.InstallFaultSchedule(schedule);
+  ASSERT_TRUE(engine.InstallFaultSchedule(schedule).ok());
 
   const Metrics m = engine.Run(/*warmup=*/0, 8 * kMillisecond);
   ASSERT_GT(m.committed, 0u);
-  EXPECT_TRUE(engine.switch_up());
-  EXPECT_EQ(engine.switch_epoch(), 1u);  // monotone, bumped exactly once
+  EXPECT_TRUE(engine.faults().switch_up());
+  EXPECT_EQ(engine.faults().epoch(), 1u);  // monotone, bumped exactly once
   EXPECT_EQ(engine.control_plane().allocated_slots(), slots_before);
 
   const Value64 applied = SumHotValues(engine, wl);
@@ -288,7 +288,7 @@ TEST(FailoverTest, NodeCrashAndRestartMidRun) {
       net::FaultEvent::NodeCrash(2 * kMillisecond, /*node=*/1));
   schedule.events.push_back(
       net::FaultEvent::NodeRestart(4 * kMillisecond, /*node=*/1));
-  engine.InstallFaultSchedule(schedule);
+  ASSERT_TRUE(engine.InstallFaultSchedule(schedule).ok());
 
   // Probe the committed count just before the restart and at the end: the
   // respawned workers must contribute (the cluster keeps committing either

@@ -335,10 +335,10 @@ TEST(IntReplicationTest, ViewChangeMovesStampingToNewPrimary) {
   net::FaultSchedule schedule;
   schedule.events.push_back(net::FaultEvent::SwitchReboot(
       2 * kMillisecond, 500 * kMicrosecond, /*switch_id=*/0));
-  engine.InstallFaultSchedule(schedule);
+  ASSERT_TRUE(engine.InstallFaultSchedule(schedule).ok());
   const Metrics m = engine.Run(/*warmup=*/0, 6 * kMillisecond);
   ASSERT_GT(m.committed, 1000u);
-  ASSERT_EQ(engine.primary_switch(), 1u);
+  ASSERT_EQ(engine.faults().primary(), 1u);
 
   // Both prefixes carry postcards — switch 0 before the crash, switch 1
   // after promotion — and together they account for every folded postcard.

@@ -69,7 +69,7 @@ ParallelRun RunSharded(int threads, uint64_t seed, wl::Workload* workload,
   engine.Offload(5000, hot_items);
   std::string schedule_json;
   if (schedule != nullptr) {
-    engine.InstallFaultSchedule(*schedule);
+    EXPECT_TRUE(engine.InstallFaultSchedule(*schedule).ok());
     schedule_json = schedule->ToJson();
   }
   const Metrics m = engine.Run(kMillisecond, 3 * kMillisecond);

@@ -183,7 +183,9 @@ TracedRun RunSmall(uint64_t seed, bool full_trace, bool time_series,
   core::Engine engine(SmallCluster(seed));
   engine.SetWorkload(&ycsb);
   engine.Offload(5000, 40);
-  if (schedule != nullptr) engine.InstallFaultSchedule(*schedule);
+  if (schedule != nullptr) {
+    EXPECT_TRUE(engine.InstallFaultSchedule(*schedule).ok());
+  }
   if (full_trace) engine.tracer().EnableFull(size_t{1} << 18);
   trace::Sampler* sampler = nullptr;
   if (time_series) sampler = &engine.EnableTimeSeries(100 * kMicrosecond);
@@ -277,7 +279,7 @@ TEST(TraceExportTest, FlightRecorderDumpCarriesFaultSchedule) {
   core::Engine engine(SmallCluster(42));
   engine.SetWorkload(&ycsb);
   engine.Offload(5000, 40);
-  engine.InstallFaultSchedule(schedule);
+  ASSERT_TRUE(engine.InstallFaultSchedule(schedule).ok());
   engine.Run(kMillisecond, 2 * kMillisecond);
   // Default mode: the always-on flight recorder holds the last spans.
   EXPECT_EQ(engine.tracer().mode(), Tracer::Mode::kFlightRecorder);
