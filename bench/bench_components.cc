@@ -162,7 +162,8 @@ void BM_CompileHotTxn(benchmark::State& state) {
                      sw::RegisterAddress{3, 0, 0}, 0);
   pm.RegisterHotItem({TupleId{sb.checking_table(), 2}, 0},
                      sw::RegisterAddress{7, 0, 0}, 0);
-  const db::Transaction txn = sb.Make(wl::SmallBank::kAmalgamate, 1, 2, 10);
+  db::Transaction txn = sb.Make(wl::SmallBank::kAmalgamate, 1, 2, 10);
+  pm.Classify(&txn, 0);
   uint32_t seq = 0;
   for (auto _ : state) {
     auto compiled = pm.Compile(txn, {}, 0, seq++);

@@ -66,8 +66,10 @@ void AmalgamateCloseUp() {
   engine.SetWorkload(&bank);
   engine.Offload(20000, 80);
 
-  const auto compiled = engine.partition_manager().Compile(
-      bank.Make(wl::SmallBank::kAmalgamate, 1, 2, 0), {}, 0, 0);
+  db::Transaction amalgamate = bank.Make(wl::SmallBank::kAmalgamate, 1, 2, 0);
+  engine.partition_manager().Classify(&amalgamate, 0);
+  const auto compiled =
+      engine.partition_manager().Compile(amalgamate, {}, 0, 0);
   if (compiled.ok()) {
     for (size_t i = 0; i < compiled->txn.instrs.size(); ++i) {
       std::printf("  instr %zu: %s\n", i,

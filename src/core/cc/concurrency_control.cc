@@ -176,7 +176,7 @@ sim::CoTask<bool> ConcurrencyControl::ExecuteHot(
 
 Value64 ConcurrencyControl::ApplyHostOp(
     const db::Op& op, const std::vector<std::optional<Value64>>& results,
-    UndoLog* undo) {
+    WriteSet* writes) {
   const auto carried_value = [&](int16_t src, bool negate) -> Value64 {
     const Value64 v = results[src].has_value() ? *results[src] : 0;
     return negate ? -v : v;
@@ -201,33 +201,37 @@ Value64 ConcurrencyControl::ApplyHostOp(
   const db::Row row = table.GetOrCreate(key);
   assert(op.column < row.size());
   Value64& cell = row[op.column];
+  const auto record = [&] {
+    writes->push_back(HostWrite{TupleId{op.tuple.table, key}, op.column,
+                                &cell});
+  };
   switch (op.type) {
     case db::OpType::kGet:
       return cell;
     case db::OpType::kPut:
-      undo->emplace_back(op.tuple, op.column, cell);
+      record();
       cell = operand;
       return cell;
     case db::OpType::kAdd:
-      undo->emplace_back(op.tuple, op.column, cell);
+      record();
       cell += operand;
       return cell;
     case db::OpType::kCondAddGeZero: {
       // Same semantics as the switch's constrained write (Section 5.1):
       // skip the write if the result would go negative; never abort.
       if (cell + operand >= 0) {
-        undo->emplace_back(op.tuple, op.column, cell);
+        record();
         cell += operand;
       }
       return cell;
     }
     case db::OpType::kMax:
-      undo->emplace_back(op.tuple, op.column, cell);
+      record();
       cell = std::max(cell, operand);
       return cell;
     case db::OpType::kSwap: {
       const Value64 old = cell;
-      undo->emplace_back(op.tuple, op.column, cell);
+      record();
       cell = operand;
       return old;
     }

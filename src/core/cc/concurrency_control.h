@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "common/small_vector.h"
@@ -14,9 +13,18 @@
 
 namespace p4db::core::cc {
 
-/// Per-attempt undo record: (tuple, column, pre-image). Inline capacity
-/// matches the common 8-op transaction so collecting undo never allocates.
-using UndoLog = SmallVector<std::tuple<TupleId, uint16_t, Value64>, 8>;
+/// One host write of an attempt: the tuple actually written (a
+/// key_from_src op's key is resolved at run time), its column, and the
+/// table cell. Arena rows never move, so the WAL commit record reads the
+/// committed value through `cell` without probing the table again.
+struct HostWrite {
+  TupleId tuple;
+  uint16_t column = 0;
+  Value64* cell = nullptr;
+};
+/// Per-attempt write set. Inline capacity matches the common 8-op
+/// transaction so collecting it never allocates.
+using WriteSet = SmallVector<HostWrite, 8>;
 
 /// Wire sizes of the host protocol messages (shared by every strategy).
 constexpr uint32_t kLockRequestBytes = 96;   // lock msg incl. piggybacked data
@@ -108,14 +116,14 @@ class ConcurrencyControl {
   sim::CoTask<std::optional<sw::SwitchResult>> SubmitToSwitch(
       sw::SwitchTxn txn);
 
-  /// Applies one op to host storage. `undo` collects (tuple, column, old
-  /// value) for every write — used to build the WAL commit record. There is
-  /// no rollback path: aborts can only happen during lock acquisition /
-  /// validation, before any write is applied (constrained writes skip
-  /// instead of aborting, matching the switch, Section 5.1).
+  /// Applies one op to host storage. `writes` collects every write, which
+  /// builds the WAL commit record. There is no rollback path: aborts can
+  /// only happen during lock acquisition / validation, before any write is
+  /// applied (constrained writes skip instead of aborting, matching the
+  /// switch, Section 5.1).
   Value64 ApplyHostOp(const db::Op& op,
                       const std::vector<std::optional<Value64>>& results,
-                      UndoLog* undo);
+                      WriteSet* writes);
 
   const SystemConfig& config() const { return *ctx_.config; }
 

@@ -226,7 +226,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
   for (size_t i = 0; i < txn.ops.size(); ++i) {
     const db::Op& op = txn.ops[i];
     if (op.type != db::OpType::kInsert && !op.key_from_src &&
-        ctx_.pm->IsHot(HotItem{op.tuple, op.column})) {
+        op.hot_entry != db::kNotHot) {
       is_hot_op[i] = true;
       continue;
     }

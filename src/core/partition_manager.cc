@@ -34,32 +34,35 @@ void PartitionManager::RegisterHotItem(const HotItem& item,
                                        const sw::RegisterAddress& addr,
                                        Value64 initial_value) {
   assert(!index_.contains(item));
-  index_.emplace(item, addr);
-  initial_values_.emplace(item, initial_value);
+  index_.try_emplace(item, static_cast<uint32_t>(entries_.size()));
   entries_.push_back(HotEntry{item, addr, initial_value});
 }
 
 void PartitionManager::UpdateInitialValue(size_t entry_index, Value64 value) {
   assert(entry_index < entries_.size());
-  HotEntry& e = entries_[entry_index];
-  e.initial_value = value;
-  initial_values_[e.item] = value;
+  entries_[entry_index].initial_value = value;
+}
+
+uint32_t PartitionManager::EntryOf(const HotItem& item) const {
+  const uint32_t* entry = index_.find(item);
+  return entry == nullptr ? db::kNotHot : *entry;
 }
 
 const sw::RegisterAddress* PartitionManager::AddressOf(
     const HotItem& item) const {
-  auto it = index_.find(item);
-  return it == index_.end() ? nullptr : &it->second;
+  const uint32_t entry = EntryOf(item);
+  return entry == db::kNotHot ? nullptr : &entries_[entry].addr;
 }
 
 void PartitionManager::Classify(db::Transaction* txn, NodeId home) const {
   bool any_hot = false;
   bool any_cold = false;
   bool distributed = false;
-  for (const db::Op& op : txn->ops) {
+  for (db::Op& op : txn->ops) {
+    op.hot_entry = EntryOf(HotItem{op.tuple, op.column});
     if (catalog_->IsReplicated(op.tuple.table)) continue;  // local everywhere
     const bool hot = op.type != db::OpType::kInsert && !op.key_from_src &&
-                     IsHot(HotItem{op.tuple, op.column});
+                     op.hot_entry != db::kNotHot;
     any_hot |= hot;
     any_cold |= !hot;
     if (catalog_->OwnerOf(op.tuple) != home) distributed = true;
@@ -88,8 +91,9 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
   for (size_t i = 0; i < txn.ops.size(); ++i) {
     const db::Op& op = txn.ops[i];
     if (op.type == db::OpType::kInsert || op.key_from_src) continue;
-    auto it = index_.find(HotItem{op.tuple, op.column});
-    if (it == index_.end()) continue;  // cold op: handled by the host
+    assert(op.hot_entry == EntryOf(HotItem{op.tuple, op.column}) &&
+           "Compile needs a classified transaction");
+    if (op.hot_entry == db::kNotHot) continue;  // cold op: handled by the host
 
     if (out.txn.instrs.size() == sw::PacketCodec::kMaxInstructions) {
       // Checked before any source index is narrowed to its 7-bit field.
@@ -100,7 +104,7 @@ StatusOr<PartitionManager::Compiled> PartitionManager::Compile(
 
     sw::Instruction instr;
     instr.op = *opcode;
-    instr.addr = it->second;
+    instr.addr = entries_[op.hot_entry].addr;
     instr.operand = op.operand;
     // Dependencies: hot -> hot rides in packet metadata (PHV); cold -> hot
     // is folded into the immediate (warm transactions run their cold

@@ -4,11 +4,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/small_vector.h"
-
 #include "common/status.h"
 #include "common/types.h"
 #include "core/hot_items.h"
@@ -62,7 +61,7 @@ class PartitionManager {
 
   bool IsHot(const HotItem& item) const { return index_.contains(item); }
   const sw::RegisterAddress* AddressOf(const HotItem& item) const;
-  size_t num_hot_items() const { return index_.size(); }
+  size_t num_hot_items() const { return entries_.size(); }
 
   struct HotEntry {
     HotItem item;
@@ -74,7 +73,9 @@ class PartitionManager {
   /// Sets txn->cls (hot / cold / warm) and txn->distributed (does any op
   /// touch a tuple whose partition is not `home`). kInsert ops are host
   /// work and therefore cold; a transaction mixing hot ops with inserts is
-  /// warm.
+  /// warm. Also stamps every op's hot_entry with the index of its
+  /// (tuple, column) in entries(), or db::kNotHot: the one hot-set probe
+  /// the op gets, which every later layer reads.
   void Classify(db::Transaction* txn, NodeId home) const;
 
   struct Compiled {
@@ -85,7 +86,8 @@ class PartitionManager {
     SmallVector<uint16_t, 8> op_index;
   };
 
-  /// Lowers the hot ops of `txn` to a switch transaction. For warm
+  /// Lowers the hot ops of `txn` to a switch transaction. `txn` must have
+  /// been classified: Compile reads each op's hot_entry stamp. For warm
   /// transactions, `resolved` must hold the already-computed results of the
   /// cold ops so that cross-substrate operand dependencies (cold result
   /// feeding a hot op) become immediates. Fails if a hot op depends on an
@@ -96,10 +98,13 @@ class PartitionManager {
 
 
  private:
+  /// Index of `item` in entries_, or db::kNotHot.
+  uint32_t EntryOf(const HotItem& item) const;
+
   const db::Catalog* catalog_;
   const sw::PipelineConfig* pipeline_config_;
-  std::unordered_map<HotItem, sw::RegisterAddress, HotItemHash> index_;
-  std::unordered_map<HotItem, Value64, HotItemHash> initial_values_;
+  /// (tuple, column) -> index into entries_.
+  FlatMap<HotItem, uint32_t> index_;
   std::vector<HotEntry> entries_;
   std::vector<size_t> recovery_watermarks_;
 };

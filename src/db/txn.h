@@ -32,6 +32,9 @@ enum class OpType : uint8_t {
 
 inline bool IsWrite(OpType t) { return t != OpType::kGet; }
 
+/// Op::hot_entry of an op whose (tuple, column) is not in the hot set.
+constexpr uint32_t kNotHot = UINT32_MAX;
+
 /// One logical operation of a transaction.
 struct Op {
   OpType type = OpType::kGet;
@@ -55,6 +58,12 @@ struct Op {
   /// without locks — their single writer is serialized upstream by the
   /// per-district counter. Never compilable to the switch.
   bool key_from_src = false;
+  /// Index of (tuple, column) in the partition manager's hot-set entries,
+  /// or kNotHot. Stamped by PartitionManager::Classify, one probe per op;
+  /// every later layer (Compile, the CC strategies) reads it instead of
+  /// looking the item up again. The stamp is the raw membership of
+  /// (tuple, column): callers still skip inserts and key_from_src ops.
+  uint32_t hot_entry = kNotHot;
 
   bool has_src() const { return operand_src >= 0; }
   bool has_src2() const { return operand_src2 >= 0; }

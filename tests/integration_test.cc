@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/engine.h"
 #include "workload/smallbank.h"
@@ -268,6 +269,64 @@ TEST(TpccIntegrationTest, FullMixRunsAndDeliveryCreditsFlow) {
         delivery.ops[op.operand_src].tuple.key == district_key) {
       EXPECT_EQ((*r2)[i], total);
     }
+  }
+}
+
+TEST(TpccIntegrationTest, DeliveryLogsCarrierWritesUnderTheirEffectiveKeys) {
+  // A Delivery stamps the carrier on the order row its popped counter
+  // addresses (key_from_src). The commit record must name that row, and
+  // building it must not materialize a row at the op's nominal key.
+  wl::TpccConfig tcfg;
+  tcfg.num_warehouses = 4;
+  tcfg.full_mix = true;
+  wl::Tpcc workload(tcfg);
+  Engine engine(Cluster(EngineMode::kNoSwitch));
+  engine.SetWorkload(&workload);
+  Rng rng(7);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.ExecuteOnce(workload.MakeNewOrder(rng, 0), 0).ok());
+  }
+  const size_t records_before = engine.wal(0).size();
+  const db::Transaction delivery = workload.MakeDelivery(rng, 0);
+  auto r = engine.ExecuteOnce(delivery, 0);
+  ASSERT_TRUE(r.ok());
+
+  std::vector<TupleId> nominal;
+  std::vector<TupleId> effective;
+  Value64 carrier = 0;
+  for (const db::Op& op : delivery.ops) {
+    if (!op.key_from_src || op.column != wl::Tpcc::kOrderCarrier) continue;
+    carrier = op.operand;
+    nominal.push_back(op.tuple);
+    effective.push_back(TupleId{
+        op.tuple.table,
+        op.tuple.key + static_cast<Key>((*r)[op.operand_src])});
+  }
+  ASSERT_EQ(nominal.size(), tcfg.districts_per_warehouse);
+
+  size_t under_nominal = 0;
+  size_t under_effective = 0;
+  const auto& records = engine.wal(0).records();
+  for (size_t i = records_before; i < records.size(); ++i) {
+    for (const db::HostLogOp& w : records[i].host_writes) {
+      if (w.tuple.table != workload.order_table() ||
+          w.column != wl::Tpcc::kOrderCarrier) {
+        continue;
+      }
+      for (size_t d = 0; d < nominal.size(); ++d) {
+        if (w.tuple == nominal[d]) ++under_nominal;
+        if (w.tuple == effective[d]) {
+          ++under_effective;
+          EXPECT_EQ(w.new_value, carrier);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(under_nominal, 0u);
+  EXPECT_EQ(under_effective, nominal.size());
+  const db::Table& orders = engine.catalog().table(workload.order_table());
+  for (const TupleId& t : nominal) {
+    EXPECT_TRUE(orders.Find(t.key).empty()) << "row at nominal key " << t.key;
   }
 }
 

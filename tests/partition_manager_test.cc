@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
+#include "core/engine.h"
 #include "core/partition_manager.h"
 #include "switchsim/pipeline.h"
+#include "workload/smallbank.h"
+#include "workload/tpcc.h"
+#include "workload/ycsb.h"
 
 namespace p4db::core {
 namespace {
@@ -122,6 +129,7 @@ TEST_F(PartitionManagerTest, CompileLowersOpsToInstructions) {
   db::Transaction txn;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 1}),
              Op(db::OpType::kAdd, TupleId{table_, 2}, 9)};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, {}, /*origin_node=*/1, /*client_seq=*/5);
   ASSERT_TRUE(c.ok());
   ASSERT_EQ(c->txn.instrs.size(), 2u);
@@ -140,6 +148,7 @@ TEST_F(PartitionManagerTest, CompileKeepsProgramOrderAndStaysSinglePass) {
   db::Transaction txn;  // program order hits stage 3 then stage 0
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 1}),
              Op(db::OpType::kGet, TupleId{table_, 2})};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, {}, 0, 0);
   ASSERT_TRUE(c.ok());
   // Instructions stay in program order; the data plane executes them out
@@ -157,6 +166,7 @@ TEST_F(PartitionManagerTest, CompileSameArrayCollisionIsMultipass) {
   db::Transaction txn;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 1}),
              Op(db::OpType::kGet, TupleId{table_, 2})};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, {}, 0, 0);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->txn.is_multipass);
@@ -170,6 +180,7 @@ TEST_F(PartitionManagerTest, CompileRewiresDependencies) {
   db::Op consumer = Op(db::OpType::kAdd, TupleId{table_, 2});
   consumer.operand_src = 0;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 1}), consumer};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, {}, 0, 0);
   ASSERT_TRUE(c.ok());
   // The stage-3 producer feeds a stage-0 consumer: the value is carried
@@ -187,6 +198,7 @@ TEST_F(PartitionManagerTest, CompileFoldsResolvedColdDependency) {
   hot.operand_src = 0;
   txn.ops = {cold, hot};
   std::vector<std::optional<Value64>> resolved = {Value64{37}, std::nullopt};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, resolved, 0, 0);
   ASSERT_TRUE(c.ok());
   ASSERT_EQ(c->txn.instrs.size(), 1u);     // only the hot op compiles
@@ -201,6 +213,7 @@ TEST_F(PartitionManagerTest, CompileFailsOnUnresolvedColdDependency) {
   hot.operand_src = 0;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 100}), hot};
   std::vector<std::optional<Value64>> resolved = {std::nullopt, std::nullopt};
+  pm_.Classify(&txn, 0);
   EXPECT_FALSE(pm_.Compile(txn, resolved, 0, 0).ok());
 }
 
@@ -215,6 +228,7 @@ TEST_F(PartitionManagerTest, CompileCapsHotOpsAtThePacketLimit) {
     txn.ops.push_back(Op(db::OpType::kAdd, TupleId{table_, k}, 1));
   }
   txn.ops[126].operand_src = 125;
+  pm_.Classify(&txn, 0);
   db::Transaction fits = txn;
   fits.ops.pop_back();
   auto c = pm_.Compile(fits, {}, 0, 0);
@@ -229,6 +243,7 @@ TEST_F(PartitionManagerTest, CompileRejectsNoHotOps) {
   db::Transaction txn;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 100})};
   const std::vector<std::optional<Value64>> unresolved = {std::nullopt};
+  pm_.Classify(&txn, 0);
   EXPECT_FALSE(pm_.Compile(txn, unresolved, 0, 0).ok());
 }
 
@@ -238,6 +253,7 @@ TEST_F(PartitionManagerTest, CompileSetsLockHeaders) {
   db::Transaction txn;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 1}),
              Op(db::OpType::kGet, TupleId{table_, 2})};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, {}, 0, 0);
   ASSERT_TRUE(c.ok());
   // Single-pass: nothing to acquire, but both touched regions must be free.
@@ -252,6 +268,7 @@ TEST_F(PartitionManagerTest, CompileMultipassAcquiresPendingRegion) {
   db::Op consumer = Op(db::OpType::kAdd, TupleId{table_, 2});
   consumer.operand_src = 0;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 1}), consumer};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, {}, 0, 0);
   ASSERT_TRUE(c.ok());
   ASSERT_TRUE(c->txn.is_multipass);
@@ -267,11 +284,78 @@ TEST_F(PartitionManagerTest, SameItemTwiceIsMultipass) {
   db::Transaction txn;
   txn.ops = {Op(db::OpType::kGet, TupleId{table_, 1}),
              Op(db::OpType::kPut, TupleId{table_, 1}, 42)};
+  pm_.Classify(&txn, 0);
   auto c = pm_.Compile(txn, {}, 0, 0);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->txn.instrs[0].op, sw::OpCode::kRead);
   EXPECT_EQ(c->txn.instrs[1].op, sw::OpCode::kWrite);
   EXPECT_TRUE(c->txn.is_multipass);  // same tuple twice => 2 passes
+}
+
+// Every op's stamp names the entry whose item is its (tuple, column), and
+// Compile's addresses are the index's, over real generated streams with
+// the hot set the engine offloads for them.
+void ExpectStampsMatchTheIndex(wl::Workload* workload) {
+  SystemConfig cfg;
+  cfg.mode = EngineMode::kP4db;
+  cfg.num_nodes = 4;
+  Engine engine(cfg);
+  engine.SetWorkload(workload);
+  engine.Offload(5000, 200);
+  const PartitionManager& pm = engine.partition_manager();
+  ASSERT_GT(pm.num_hot_items(), 0u);
+
+  Rng rng(11);
+  size_t hot_ops = 0;
+  size_t compiled = 0;
+  for (int i = 0; i < 400; ++i) {
+    const NodeId home = static_cast<NodeId>(i % cfg.num_nodes);
+    db::Transaction txn = workload->Next(rng, home);
+    pm.Classify(&txn, home);
+    for (const db::Op& op : txn.ops) {
+      const HotItem item{op.tuple, op.column};
+      EXPECT_EQ(op.hot_entry == db::kNotHot, !pm.IsHot(item));
+      if (op.hot_entry == db::kNotHot) continue;
+      ++hot_ops;
+      ASSERT_LT(op.hot_entry, pm.entries().size());
+      EXPECT_EQ(pm.entries()[op.hot_entry].item, item);
+    }
+    if (txn.cls == db::TxnClass::kCold) continue;
+    const std::vector<std::optional<Value64>> resolved(txn.ops.size(),
+                                                       Value64{0});
+    auto c = pm.Compile(txn, resolved, home, 0);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    ++compiled;
+    for (size_t k = 0; k < c->op_index.size(); ++k) {
+      const db::Op& op = txn.ops[c->op_index[k]];
+      const sw::RegisterAddress* addr =
+          pm.AddressOf(HotItem{op.tuple, op.column});
+      ASSERT_NE(addr, nullptr);
+      EXPECT_EQ(c->txn.instrs[k].addr, *addr);
+    }
+  }
+  EXPECT_GT(hot_ops, 0u);
+  EXPECT_GT(compiled, 0u);
+}
+
+TEST_F(PartitionManagerTest, ClassifyStampsMatchTheIndex) {
+  wl::YcsbConfig ycfg;
+  ycfg.table_size = 100000;
+  ycfg.hot_keys_per_node = 10;
+  wl::Ycsb ycsb(ycfg);
+  ExpectStampsMatchTheIndex(&ycsb);
+
+  wl::SmallBankConfig scfg;
+  scfg.num_accounts = 4000;
+  scfg.hot_accounts_per_node = 5;
+  wl::SmallBank smallbank(scfg);
+  ExpectStampsMatchTheIndex(&smallbank);
+
+  wl::TpccConfig tcfg;
+  tcfg.num_warehouses = 4;
+  tcfg.full_mix = true;
+  wl::Tpcc tpcc(tcfg);
+  ExpectStampsMatchTheIndex(&tpcc);
 }
 
 }  // namespace

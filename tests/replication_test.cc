@@ -31,6 +31,8 @@ class HotAddWorkload : public wl::Workload {
   explicit HotAddWorkload(uint64_t num_keys) : num_keys_(num_keys) {}
 
   std::string name() const override { return "hot-add-micro"; }
+  // Next only reads config frozen at Setup.
+  bool ThreadSafeGeneration() const override { return true; }
 
   void Setup(db::Catalog* catalog) override {
     db::PartitionSpec part;
