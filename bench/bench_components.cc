@@ -14,6 +14,7 @@
 #include "switchsim/packet.h"
 #include "switchsim/pipeline.h"
 #include "workload/smallbank.h"
+#include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
 namespace p4db {
@@ -147,6 +148,71 @@ void BM_LayoutPlanOptimal(benchmark::State& state) {
 }
 BENCHMARK(BM_LayoutPlanOptimal)->Arg(80)->Arg(400)
     ->Unit(benchmark::kMillisecond);
+
+// One offload layer per benchmark, over the input perfbench's tpcc_p4db
+// offloads: 8 nodes, seed 42 (Engine::Offload samples with seed + 7 and
+// lays out with seed + 13), 20000 sampled txns, 2000 hot items.
+struct TpccOffloadInput {
+  std::vector<db::Transaction> sample;
+  core::HotSetDetector detector;
+  bool written_only = false;
+  std::vector<core::HotItem> hot_items;
+  core::AccessGraph graph;
+};
+
+const TpccOffloadInput& TpccOffload() {
+  static const TpccOffloadInput input = [] {
+    TpccOffloadInput in;
+    wl::Tpcc tpcc(wl::TpccConfig{});
+    db::Catalog catalog(8);
+    tpcc.Setup(&catalog);
+    in.sample = tpcc.Sample(20000, 42 + 7, 8);
+    for (const auto& txn : in.sample) in.detector.Observe(txn);
+    in.written_only = tpcc.OffloadWrittenOnly();
+    in.hot_items = in.detector.TopK(2000, 2, in.written_only);
+    in.graph = core::HotSetDetector::BuildGraph(in.hot_items, in.sample);
+    return in;
+  }();
+  return input;
+}
+
+void BM_OffloadObserve(benchmark::State& state) {
+  const TpccOffloadInput& in = TpccOffload();
+  for (auto _ : state) {
+    core::HotSetDetector detector;
+    for (const auto& txn : in.sample) detector.Observe(txn);
+    benchmark::DoNotOptimize(detector.distinct_items());
+  }
+}
+BENCHMARK(BM_OffloadObserve)->Unit(benchmark::kMillisecond);
+
+void BM_OffloadTopK(benchmark::State& state) {
+  const TpccOffloadInput& in = TpccOffload();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        in.detector.TopK(2000, 2, in.written_only).size());
+  }
+}
+BENCHMARK(BM_OffloadTopK)->Unit(benchmark::kMillisecond);
+
+void BM_OffloadBuildGraph(benchmark::State& state) {
+  const TpccOffloadInput& in = TpccOffload();
+  for (auto _ : state) {
+    const core::AccessGraph graph =
+        core::HotSetDetector::BuildGraph(in.hot_items, in.sample);
+    benchmark::DoNotOptimize(graph.Edges().size());
+  }
+}
+BENCHMARK(BM_OffloadBuildGraph)->Unit(benchmark::kMillisecond);
+
+void BM_OffloadPlanOptimal(benchmark::State& state) {
+  const TpccOffloadInput& in = TpccOffload();
+  core::LayoutPlanner planner(sw::PipelineConfig{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planner.PlanOptimal(in.graph, 42 + 13).cut_weight);
+  }
+}
+BENCHMARK(BM_OffloadPlanOptimal)->Unit(benchmark::kMillisecond);
 
 void BM_CompileHotTxn(benchmark::State& state) {
   db::Catalog catalog(8);

@@ -1,52 +1,52 @@
 #include "core/access_graph.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace p4db::core {
 
 uint32_t AccessGraph::InternItem(const HotItem& item) {
-  auto it = ids_.find(item);
-  if (it != ids_.end()) return it->second;
-  const uint32_t id = static_cast<uint32_t>(items_.size());
-  items_.push_back(item);
-  freq_.push_back(0);
-  ids_.emplace(item, id);
-  return id;
+  const auto [id, inserted] =
+      ids_.try_emplace(item, static_cast<uint32_t>(items_.size()));
+  if (inserted) {
+    items_.push_back(item);
+    freq_.push_back(0);
+  }
+  return *id;
 }
 
-void AccessGraph::AddTransaction(
-    const db::Transaction& txn,
-    const std::unordered_map<HotItem, uint32_t, HotItemHash>& item_ids) {
+AccessGraph::EdgeWeights& AccessGraph::EdgeAt(uint32_t u, uint32_t v) {
+  const auto [index, inserted] = edge_index_.try_emplace(
+      EdgeKey(u, v), static_cast<uint32_t>(edges_.size()));
+  if (inserted) edges_.push_back(Edge{std::min(u, v), std::max(u, v), {}});
+  return edges_[*index].w;
+}
+
+void AccessGraph::AddTransaction(const db::Transaction& txn) {
   // Collect the hot ops of this transaction with their vertex ids.
-  struct HotOp {
-    size_t op_index;
-    uint32_t vertex;
-  };
-  std::vector<HotOp> hot_ops;
+  hot_ops_.clear();
   for (size_t i = 0; i < txn.ops.size(); ++i) {
     const db::Op& op = txn.ops[i];
-    auto it = item_ids.find(HotItem{op.tuple, op.column});
-    if (it == item_ids.end()) continue;
-    hot_ops.push_back(HotOp{i, it->second});
-    ++freq_[it->second];
+    const uint32_t* id = ids_.find(HotItem{op.tuple, op.column});
+    if (id == nullptr) continue;
+    hot_ops_.push_back(HotOp{static_cast<uint32_t>(i), *id});
+    ++freq_[*id];
   }
-  if (hot_ops.size() < 2) return;
+  if (hot_ops_.size() < 2) return;
 
   // Pairwise edges. A dependency (operand_src chain) between two ops makes
   // the pair directed src -> consumer; otherwise bidirectional.
-  for (size_t a = 0; a < hot_ops.size(); ++a) {
-    for (size_t b = a + 1; b < hot_ops.size(); ++b) {
-      const uint32_t u = hot_ops[a].vertex;
-      const uint32_t v = hot_ops[b].vertex;
+  for (size_t a = 0; a < hot_ops_.size(); ++a) {
+    for (size_t b = a + 1; b < hot_ops_.size(); ++b) {
+      const uint32_t u = hot_ops_[a].vertex;
+      const uint32_t v = hot_ops_[b].vertex;
       if (u == v) continue;  // same item twice: forces multi-pass anyway
-      const db::Op& later = txn.ops[hot_ops[b].op_index];
+      const db::Op& later = txn.ops[hot_ops_[b].op_index];
       const bool dependent =
           (later.has_src() &&
-           static_cast<size_t>(later.operand_src) == hot_ops[a].op_index) ||
+           static_cast<uint32_t>(later.operand_src) == hot_ops_[a].op_index) ||
           (later.has_src2() &&
-           static_cast<size_t>(later.operand_src2) == hot_ops[a].op_index);
-      EdgeWeights& w = edges_[EdgeKey(u, v)];
+           static_cast<uint32_t>(later.operand_src2) == hot_ops_[a].op_index);
+      EdgeWeights& w = EdgeAt(u, v);
       if (dependent) {
         // Direction: earlier op's item must sit in an earlier stage.
         if (u < v) {
@@ -63,44 +63,16 @@ void AccessGraph::AddTransaction(
 
 AccessGraph::EdgeWeights AccessGraph::WeightsBetween(uint32_t u,
                                                      uint32_t v) const {
-  auto it = edges_.find(EdgeKey(u, v));
-  if (it == edges_.end()) return EdgeWeights{};
-  EdgeWeights w = it->second;
+  const uint32_t* index = edge_index_.find(EdgeKey(u, v));
+  if (index == nullptr) return EdgeWeights{};
+  EdgeWeights w = edges_[*index].w;
   if (u > v) std::swap(w.forward, w.backward);
   return w;
 }
 
-std::vector<std::pair<uint32_t, AccessGraph::EdgeWeights>>
-AccessGraph::Neighbors(uint32_t u) const {
-  std::vector<std::pair<uint32_t, EdgeWeights>> out;
-  for (const auto& [key, w] : edges_) {
-    const uint32_t a = static_cast<uint32_t>(key >> 32);
-    const uint32_t b = static_cast<uint32_t>(key & 0xFFFFFFFFu);
-    if (a != u && b != u) continue;
-    const uint32_t other = (a == u) ? b : a;
-    EdgeWeights view = w;
-    if (u > other) std::swap(view.forward, view.backward);
-    out.emplace_back(other, view);
-  }
-  return out;
-}
-
-std::vector<AccessGraph::Edge> AccessGraph::Edges() const {
-  std::vector<Edge> out;
-  out.reserve(edges_.size());
-  for (const auto& [key, w] : edges_) {
-    out.push_back(Edge{static_cast<uint32_t>(key >> 32),
-                       static_cast<uint32_t>(key & 0xFFFFFFFFu), w});
-  }
-  return out;
-}
-
 uint64_t AccessGraph::TotalWeight() const {
   uint64_t sum = 0;
-  for (const auto& [key, w] : edges_) {
-    (void)key;
-    sum += w.total();
-  }
+  for (const Edge& e : edges_) sum += e.w.total();
   return sum;
 }
 

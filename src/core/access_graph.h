@@ -2,9 +2,10 @@
 #define P4DB_CORE_ACCESS_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/hot_items.h"
 #include "db/txn.h"
 
@@ -18,6 +19,11 @@ namespace p4db::core {
 /// program order between dependent operations) make the edge *directed*;
 /// independent co-accesses are *bidirectional*. The layout algorithm uses
 /// weights for the max-cut and directions for the stage ordering.
+///
+/// Storage is flat: vertex ids and edge slots are interned in open-addressed
+/// indexes, and the edges themselves live in one dense vector in the order
+/// the sample first co-accessed each pair. Every consumer only sums edge
+/// weights, so that order never reaches a result.
 class AccessGraph {
  public:
   struct EdgeWeights {
@@ -30,13 +36,11 @@ class AccessGraph {
   /// Registers `item` as a vertex (idempotent); returns its vertex id.
   uint32_t InternItem(const HotItem& item);
 
-  /// Records the hot-item co-accesses of one transaction. `is_hot` decides
-  /// which ops refer to offloaded items. Ordering dependencies: op j
-  /// depending on op i's result (operand_src) yields a directed i->j edge;
-  /// all other co-access pairs are bidirectional.
-  void AddTransaction(const db::Transaction& txn,
-                      const std::unordered_map<HotItem, uint32_t,
-                                               HotItemHash>& item_ids);
+  /// Records the co-accesses of one transaction among the interned items;
+  /// ops on other items are ignored. Ordering dependencies: op j depending
+  /// on op i's result (operand_src) yields a directed i->j edge; all other
+  /// co-access pairs are bidirectional.
+  void AddTransaction(const db::Transaction& txn);
 
   size_t num_vertices() const { return items_.size(); }
   const HotItem& item(uint32_t v) const { return items_[v]; }
@@ -44,10 +48,6 @@ class AccessGraph {
 
   /// Edge weights between u and v (either order); zero weights if absent.
   EdgeWeights WeightsBetween(uint32_t u, uint32_t v) const;
-
-  /// Adjacency for algorithms: for vertex u, list of (v, weights-as-seen-
-  /// from-u).
-  std::vector<std::pair<uint32_t, EdgeWeights>> Neighbors(uint32_t u) const;
 
   /// Total weight of all edges (the max-cut upper bound).
   uint64_t TotalWeight() const;
@@ -57,8 +57,8 @@ class AccessGraph {
     uint32_t v;
     EdgeWeights w;  // forward = u -> v
   };
-  /// All edges, each reported once with u < v.
-  std::vector<Edge> Edges() const;
+  /// All edges, each reported once with u < v, in first-seen order.
+  const std::vector<Edge>& Edges() const { return edges_; }
 
   /// Per-vertex access frequency (used to prioritize which items stay on
   /// the switch when capacity is short).
@@ -66,17 +66,27 @@ class AccessGraph {
   void AddFrequency(uint32_t v, uint64_t n) { freq_[v] += n; }
 
  private:
-  // Key for the edge map: (min(u,v) << 32) | max(u,v); weights stored from
-  // the perspective of u = min.
+  // Key for the edge index: (min(u,v) << 32) | max(u,v); weights stored
+  // from the perspective of u = min.
   static uint64_t EdgeKey(uint32_t u, uint32_t v) {
     if (u > v) std::swap(u, v);
     return (static_cast<uint64_t>(u) << 32) | v;
   }
 
+  /// The weights of edge {u, v}, appended to edges_ on first sight.
+  EdgeWeights& EdgeAt(uint32_t u, uint32_t v);
+
+  struct HotOp {
+    uint32_t op_index;
+    uint32_t vertex;
+  };
+
   std::vector<HotItem> items_;
-  std::unordered_map<HotItem, uint32_t, HotItemHash> ids_;
-  std::unordered_map<uint64_t, EdgeWeights> edges_;
+  FlatMap<HotItem, uint32_t> ids_;
+  std::vector<Edge> edges_;
+  FlatMap<uint64_t, uint32_t> edge_index_;  // EdgeKey -> index in edges_
   std::vector<uint64_t> freq_;
+  std::vector<HotOp> hot_ops_;  // AddTransaction's scratch, reused
 };
 
 }  // namespace p4db::core

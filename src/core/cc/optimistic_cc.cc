@@ -170,19 +170,19 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
   }
 
   // ---- WRITE PHASE ----
+  // Every applied cell is logged with the value it now holds.
+  SmallVector<db::HostLogOp, 8> writes;
   for (const auto& [cell, value] : occ.write_buffer) {
     ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
         [cell.column] = value;
+    writes.push_back(db::HostLogOp{cell.tuple, cell.column, value});
   }
   for (const auto& [cell, value] : occ.inserts) {
     ctx_.catalog->table(cell.tuple.table).GetOrCreate(cell.tuple.key)
         [cell.column] = value;
+    writes.push_back(db::HostLogOp{cell.tuple, cell.column, value});
   }
-  SmallVector<db::HostLogOp, 8> writes;
-  for (const TupleId& tuple : occ.write_set) {
-    ++versions_[tuple];
-    writes.push_back(db::HostLogOp{tuple, 0, 0});
-  }
+  for (const TupleId& tuple : occ.write_set) ++versions_[tuple];
   const SimTime wal_begin = sim.now();
   co_await sim::Delay(sim, t.wal_append);
   timers->local_work += t.wal_append;

@@ -2,9 +2,9 @@
 #define P4DB_CORE_HOTSET_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/access_graph.h"
 #include "core/hot_items.h"
 #include "db/txn.h"
@@ -15,6 +15,9 @@ namespace p4db::core {
 /// statement by statement, per-item access frequencies are counted, and the
 /// top-K items become the hot set. K is bounded by the switch capacity
 /// (Figure 17 studies what happens when the natural hot set is larger).
+///
+/// One flat map holds both counts per item; TopK ranks by a total order, so
+/// neither the map's slot order nor the sample's order reaches the result.
 class HotSetDetector {
  public:
   /// Counts the item accesses of one sampled transaction.
@@ -38,8 +41,12 @@ class HotSetDetector {
   uint64_t total_accesses() const { return total_; }
 
  private:
-  std::unordered_map<HotItem, uint64_t, HotItemHash> counts_;
-  std::unordered_map<HotItem, uint64_t, HotItemHash> write_counts_;
+  struct Counts {
+    uint64_t accesses = 0;
+    uint64_t writes = 0;
+  };
+
+  FlatMap<HotItem, Counts> counts_;
   uint64_t total_ = 0;
 };
 

@@ -98,15 +98,20 @@ std::vector<uint32_t> LayoutPlanner::OrderPartitions(
   return order;
 }
 
-void LayoutPlanner::FillDiagnostics(const AccessGraph& graph,
-                                    LayoutPlan* plan) const {
+void LayoutPlanner::FillPlan(
+    const AccessGraph& graph, const std::vector<LayoutPlan::ArrayRef>& arrays,
+    LayoutPlan* plan) const {
+  plan->arrays.reserve(arrays.size());
+  for (uint32_t v = 0; v < arrays.size(); ++v) {
+    plan->arrays.emplace(graph.item(v), arrays[v]);
+  }
   plan->total_weight = graph.TotalWeight();
   plan->cut_weight = 0;
   plan->intra_part_weight = 0;
   plan->order_violation_weight = 0;
   for (const AccessGraph::Edge& e : graph.Edges()) {
-    const auto& au = plan->arrays.at(graph.item(e.u));
-    const auto& av = plan->arrays.at(graph.item(e.v));
+    const LayoutPlan::ArrayRef au = arrays[e.u];
+    const LayoutPlan::ArrayRef av = arrays[e.v];
     if (au.stage == av.stage && au.reg == av.reg) {
       plan->intra_part_weight += e.w.total();
       continue;
@@ -156,12 +161,11 @@ LayoutPlan LayoutPlanner::PlanOptimal(const AccessGraph& graph,
   std::vector<uint32_t> position(k, 0);
   for (uint32_t i = 0; i < k; ++i) position[order[i]] = i;
 
+  std::vector<LayoutPlan::ArrayRef> arrays(n);
   for (uint32_t v = 0; v < n; ++v) {
-    plan.arrays.emplace(graph.item(v),
-                        ArrayForPart(position[cut.assignment[v]], k,
-                                     pipeline_));
+    arrays[v] = ArrayForPart(position[cut.assignment[v]], k, pipeline_);
   }
-  FillDiagnostics(graph, &plan);
+  FillPlan(graph, arrays, &plan);
   return plan;
 }
 
@@ -176,6 +180,7 @@ LayoutPlan LayoutPlanner::PlanRandom(const AccessGraph& graph,
   const uint32_t cap = pipeline_.SlotsPerRegister();
   Rng rng(seed);
   std::vector<uint32_t> load(num_arrays, 0);
+  std::vector<LayoutPlan::ArrayRef> arrays(n);
   for (uint32_t v = 0; v < n; ++v) {
     uint32_t a = static_cast<uint32_t>(rng.NextRange(num_arrays));
     for (uint32_t tries = 0; load[a] >= cap && tries < num_arrays; ++tries) {
@@ -183,13 +188,11 @@ LayoutPlan LayoutPlanner::PlanRandom(const AccessGraph& graph,
     }
     assert(load[a] < cap && "hot set exceeds capacity");
     ++load[a];
-    plan.arrays.emplace(
-        graph.item(v),
-        LayoutPlan::ArrayRef{
-            static_cast<uint8_t>(a / pipeline_.regs_per_stage),
-            static_cast<uint8_t>(a % pipeline_.regs_per_stage)});
+    arrays[v] = LayoutPlan::ArrayRef{
+        static_cast<uint8_t>(a / pipeline_.regs_per_stage),
+        static_cast<uint8_t>(a % pipeline_.regs_per_stage)};
   }
-  FillDiagnostics(graph, &plan);
+  FillPlan(graph, arrays, &plan);
   return plan;
 }
 

@@ -55,7 +55,11 @@ class LayoutPlanner {
       const AccessGraph& graph, const MaxCutResult& cut,
       uint32_t num_parts, uint64_t* violated_weight) const;
 
-  void FillDiagnostics(const AccessGraph& graph, LayoutPlan* plan) const;
+  /// Records each vertex's array in plan->arrays and scores the layout.
+  /// `arrays[v]` is vertex v's array, so scoring an edge needs no lookup.
+  void FillPlan(const AccessGraph& graph,
+                const std::vector<LayoutPlan::ArrayRef>& arrays,
+                LayoutPlan* plan) const;
 
   sw::PipelineConfig pipeline_;
 };

@@ -6,6 +6,7 @@
 
 #include "core/engine.h"
 #include "workload/smallbank.h"
+#include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
 namespace p4db::core {
@@ -71,6 +72,48 @@ TEST(EngineOffloadTest, InitialValuesMoveToSwitch) {
       HotItem{TupleId{0, hot_key}, 0});
   ASSERT_NE(addr, nullptr);
   EXPECT_EQ(*engine.control_plane().ReadValue(*addr), 4242);
+}
+
+/// FNV-1a over each offloaded item and its register array, in vertex
+/// (hot-rank) order.
+uint64_t LayoutHash(const PartitionManager& pm) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t x, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const PartitionManager::HotEntry& e : pm.entries()) {
+    mix(e.item.tuple.table, 4);
+    mix(e.item.tuple.key, 8);
+    mix(e.item.column, 2);
+    mix(e.addr.stage, 1);
+    mix(e.addr.reg, 1);
+  }
+  return h;
+}
+
+TEST(EngineTest, OffloadLayoutIsPinned) {
+  // perfbench's tpcc_p4db setup at seed 42: the paper's 8-node rack, a
+  // 20000-transaction sample and 2000 hot items. A change to counting,
+  // ranking, graph building or layout that moves any item shows here.
+  SystemConfig cfg;
+  cfg.mode = EngineMode::kP4db;
+  cfg.num_nodes = 8;
+  cfg.workers_per_node = 20;
+  cfg.seed = 42;
+  wl::Tpcc tpcc(wl::TpccConfig{});
+  Engine engine(cfg);
+  engine.SetWorkload(&tpcc);
+  const OffloadReport report = engine.Offload(20000, 2000);
+  const LayoutPlan& plan = report.plan;
+  EXPECT_EQ(report.offloaded_hot_items, 2000u);
+  EXPECT_EQ(plan.total_weight, 192179u);
+  EXPECT_EQ(plan.cut_weight, 192179u);
+  EXPECT_EQ(plan.intra_part_weight, 0u);
+  EXPECT_EQ(plan.order_violation_weight, 0u);
+  EXPECT_EQ(LayoutHash(engine.partition_manager()), 0x6623df2b9917206dULL);
 }
 
 TEST(EngineRunTest, P4dbCommitsWithoutAborts) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/hotset.h"
 #include "core/layout.h"
+#include "workload/tpcc.h"
+#include "workload/ycsb.h"
 
 namespace p4db::core {
 namespace {
@@ -189,6 +193,48 @@ TEST(LayoutTest, MorePartsThanStagesSharesRegisters) {
   }
   EXPECT_EQ(used.size(), 8u);
   EXPECT_EQ(plan.intra_part_weight, 0u);
+}
+
+LayoutPlan PlanFromSample(const std::vector<db::Transaction>& sample,
+                          size_t hot_items, bool written_only) {
+  HotSetDetector detector;
+  for (const db::Transaction& txn : sample) detector.Observe(txn);
+  const AccessGraph g = HotSetDetector::BuildGraph(
+      detector.TopK(hot_items, 2, written_only), sample);
+  return LayoutPlanner(sw::PipelineConfig{}).PlanOptimal(g, 13);
+}
+
+/// The graph's edges come out in first-seen order, which follows the
+/// sample's order; the plan must not.
+void ExpectPlanIgnoresSampleOrder(wl::Workload& workload, size_t hot_items) {
+  db::Catalog catalog(8);
+  workload.Setup(&catalog);
+  std::vector<db::Transaction> sample = workload.Sample(5000, 7, 8);
+  const bool written_only = workload.OffloadWrittenOnly();
+  const LayoutPlan forward = PlanFromSample(sample, hot_items, written_only);
+  std::reverse(sample.begin(), sample.end());
+  const LayoutPlan reversed = PlanFromSample(sample, hot_items, written_only);
+
+  ASSERT_FALSE(forward.arrays.empty());
+  ASSERT_EQ(forward.arrays.size(), reversed.arrays.size());
+  for (const auto& [item, arr] : forward.arrays) {
+    const auto it = reversed.arrays.find(item);
+    ASSERT_NE(it, reversed.arrays.end());
+    EXPECT_EQ(arr.stage, it->second.stage);
+    EXPECT_EQ(arr.reg, it->second.reg);
+  }
+  EXPECT_GT(forward.total_weight, 0u);
+  EXPECT_EQ(forward.total_weight, reversed.total_weight);
+  EXPECT_EQ(forward.cut_weight, reversed.cut_weight);
+  EXPECT_EQ(forward.intra_part_weight, reversed.intra_part_weight);
+  EXPECT_EQ(forward.order_violation_weight, reversed.order_violation_weight);
+}
+
+TEST(LayoutTest, PlanIsIndependentOfSampleOrder) {
+  wl::Tpcc tpcc(wl::TpccConfig{});
+  ExpectPlanIgnoresSampleOrder(tpcc, 500);
+  wl::Ycsb ycsb(wl::YcsbConfig{});
+  ExpectPlanIgnoresSampleOrder(ycsb, 80);
 }
 
 }  // namespace

@@ -20,15 +20,11 @@ db::Op Get(Key key) {
 AccessGraph BuildGraph(uint32_t n,
                        const std::vector<std::tuple<Key, Key, int>>& edges) {
   AccessGraph g;
-  std::unordered_map<HotItem, uint32_t, HotItemHash> ids;
-  for (Key k = 0; k < n; ++k) {
-    const HotItem item{TupleId{0, k}, 0};
-    ids.emplace(item, g.InternItem(item));
-  }
+  for (Key k = 0; k < n; ++k) g.InternItem(HotItem{TupleId{0, k}, 0});
   for (const auto& [a, b, w] : edges) {
     db::Transaction txn;
     txn.ops = {Get(a), Get(b)};
-    for (int i = 0; i < w; ++i) g.AddTransaction(txn, ids);
+    for (int i = 0; i < w; ++i) g.AddTransaction(txn);
   }
   return g;
 }

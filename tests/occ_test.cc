@@ -4,6 +4,7 @@
 
 #include "core/engine.h"
 #include "workload/smallbank.h"
+#include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
 namespace p4db::core {
@@ -82,6 +83,44 @@ TEST(OccExecuteTest, DependentOperandsFlowThroughBuffer) {
   auto r = engine.ExecuteOnce(txn, 0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)[1], 11);  // 0 + 1 + carried 10
+}
+
+TEST(OccExecuteTest, CommitRecordLogsEveryWrittenCellWithItsValue) {
+  // One write to a non-zero column and one insert: the host commit record
+  // names each cell and carries the value the write phase applied.
+  wl::Tpcc tpcc(wl::TpccConfig{});
+  Engine engine(OccCluster(EngineMode::kNoSwitch));
+  engine.SetWorkload(&tpcc);
+
+  db::Op add;
+  add.type = db::OpType::kAdd;
+  add.tuple = TupleId{tpcc.district_table(), 0};
+  add.column = 1;
+  add.operand = 5;
+  db::Op insert;
+  insert.type = db::OpType::kInsert;
+  insert.tuple = TupleId{tpcc.order_table(), 3};
+  insert.column = 2;
+  insert.operand = 9;
+  db::Transaction txn;
+  txn.ops = {add, insert};
+  const size_t records_before = engine.wal(0).size();
+  ASSERT_TRUE(engine.ExecuteOnce(txn, 0).ok());
+
+  const auto& records = engine.wal(0).records();
+  ASSERT_EQ(records.size(), records_before + 1);
+  const db::LogRecord& rec = records.back();
+  ASSERT_EQ(rec.kind, db::LogKind::kHostCommit);
+  ASSERT_EQ(rec.host_writes.size(), 2u);
+  const Value64 district =
+      engine.catalog().table(tpcc.district_table()).GetOrCreate(0)[1];
+  EXPECT_EQ(rec.host_writes[0].tuple, add.tuple);
+  EXPECT_EQ(rec.host_writes[0].column, 1);
+  EXPECT_EQ(rec.host_writes[0].new_value, district);
+  EXPECT_NE(district, 0);
+  EXPECT_EQ(rec.host_writes[1].tuple, insert.tuple);
+  EXPECT_EQ(rec.host_writes[1].column, 2);
+  EXPECT_EQ(rec.host_writes[1].new_value, 9);
 }
 
 TEST(OccRunTest, ContendedRunMakesProgressWithValidationAborts) {
