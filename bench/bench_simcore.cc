@@ -111,6 +111,7 @@ struct PatternSizes {
   uint64_t pop_outstanding = 100'000;
   uint64_t ping_awaits = 40'000;      // per coroutine, 128 coroutines
   uint64_t mix_awaits = 30'000;       // per coroutine, 160 coroutines
+  uint64_t drain_awaits = 30'000;     // per coroutine, 160 coroutines
 
   static PatternSizes Smoke() {
     PatternSizes s;
@@ -120,6 +121,7 @@ struct PatternSizes {
     s.pop_outstanding /= 20;
     s.ping_awaits /= 20;
     s.mix_awaits /= 20;
+    s.drain_awaits /= 20;
     return s;
   }
 };
@@ -243,6 +245,37 @@ uint64_t RunNetworkMix(S& sim, const PatternSizes& sz) {
   return sim.executed_events();
 }
 
+// Pattern 6: engine-shaped drain traffic — 160 actors, each wakeup a
+// short local step (1–40 ns, 42% of them) or a network-scale wait
+// (1.5–5.5 us), drawn from a per-actor xorshift so the actors spread over
+// the calendar. About 40% of the pushes land inside the bucket being
+// drained and a pulled bucket holds about 24 keys, the mix an engine run
+// puts on the queue (smallbank_noswitch: 40% of pushes, 17 keys per
+// bucket; ycsb_p4db: 29 keys).
+template <typename S>
+sim::Task DrainActor(S& sim, uint64_t n, uint64_t salt) {
+  uint64_t r = 0x9E3779B97F4A7C15ULL * (salt + 1);
+  for (uint64_t i = 0; i < n; ++i) {
+    r ^= r << 13;
+    r ^= r >> 7;
+    r ^= r << 17;
+    const SimTime d = r % 100 < 42
+                          ? 1 + static_cast<SimTime>((r >> 8) % 40)
+                          : 1500 + static_cast<SimTime>((r >> 8) % 4000);
+    co_await ResumeAfter<S>{&sim, d};
+  }
+}
+
+template <typename S>
+uint64_t RunDrainMix(S& sim, const PatternSizes& sz) {
+  std::vector<sim::Task> tasks;
+  for (uint64_t i = 0; i < 160; ++i) {
+    tasks.push_back(DrainActor(sim, sz.drain_awaits, i));
+  }
+  sim.Run();
+  return sim.executed_events();
+}
+
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
@@ -253,6 +286,10 @@ struct Pattern {
   const char* name;
   PatternFn<sim::Simulator> current;
   PatternFn<LegacySimulator> legacy;
+  // Counted in geomean_speedup, the statistic tools/perf_gate.py gates.
+  // Patterns added after the gate's baseline are reported only, so the
+  // gated statistic keeps its meaning.
+  bool gated = true;
 };
 
 template <typename S>
@@ -299,6 +336,8 @@ int Main(int argc, char** argv) {
        &RunCoroutinePing<LegacySimulator>},
       {"network_mix", &RunNetworkMix<sim::Simulator>,
        &RunNetworkMix<LegacySimulator>},
+      {"drain_mix", &RunDrainMix<sim::Simulator>,
+       &RunDrainMix<LegacySimulator>, /*gated=*/false},
   };
 
   std::printf("\n%-18s %14s %14s %8s   (best of %d, M events/sec)\n",
@@ -310,9 +349,9 @@ int Main(int argc, char** argv) {
     const double legacy = MeasureBest(p.legacy, sizes, reps);
     const double current = MeasureBest(p.current, sizes, reps);
     const double ratio = legacy > 0 ? current / legacy : 0;
-    std::printf("%-18s %13.3fM %13.3fM %7.2fx\n", p.name, legacy / 1e6,
-                current / 1e6, ratio);
-    if (ratio > 0) {
+    std::printf("%-18s %13.3fM %13.3fM %7.2fx%s\n", p.name, legacy / 1e6,
+                current / 1e6, ratio, p.gated ? "" : "  (not in geomean)");
+    if (ratio > 0 && p.gated) {
       log_sum += std::log(ratio);
       ++count;
     }
@@ -321,8 +360,8 @@ int Main(int argc, char** argv) {
     speedup_json += field;
   }
   const double geomean = count > 0 ? std::exp(log_sum / count) : 0;
-  std::printf("%-18s %14s %14s %7.2fx  (geometric mean)\n", "overall", "",
-              "", geomean);
+  std::printf("%-18s %14s %14s %7.2fx  (geometric mean of gated patterns)\n",
+              "overall", "", "", geomean);
   // Current-vs-legacy ratios are measured in one process on one host, so
   // the host's absolute speed cancels — the one simcore number a CI gate
   // can compare across machines.

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -15,10 +16,12 @@ namespace p4db::sim {
 /// One scheduled simulator event, as handed back by EventQueue::PopMin.
 /// `seq` is the global insertion sequence number; the queue pops in
 /// ascending (time, seq) order, which is the FIFO-within-timestamp contract
-/// every seeded run's bit-reproducibility rests on.
+/// every seeded run's bit-reproducibility rests on. A PushResume wakeup
+/// comes back as `resume` with `fn` empty; every other event as `fn`.
 struct Event {
   SimTime time;
   uint64_t seq;
+  std::coroutine_handle<> resume;
   InlineEvent fn;
 };
 
@@ -26,22 +29,27 @@ struct Event {
 /// simulation, replacing the binary-heap `std::priority_queue`.
 ///
 /// Internally an event is a 16-byte key — {time, seq packed with a payload
-/// slot index} — and the callback payload lives in a slab indexed by that
-/// slot, so every structural operation (heap sift, bucket scatter) moves
-/// small PODs, never the 64-byte callback object.
+/// slot} — so every structural operation (sort, bucket scatter, overflow
+/// sift) moves small PODs, never the 48-byte callback object. The slot
+/// names one of three payload routes, one per event kind:
+///  * callback (Push): the InlineEvent lives in `slab_` at the slot index;
+///  * resume (PushResume): the 8-byte coroutine frame address lives in the
+///    side table `frames_`, and the slot carries kResumeTag — a wakeup never
+///    builds, moves or destroys an InlineEvent;
+///  * zero-delay (either kind at the drain timestamp): the slot is
+///    kDirectSlot and the payload rides the now-lane FIFO `now_pay_`.
 ///
 /// Tiers, from "now" to far future:
 ///  * `now_fifo_`: events scheduled AT the drain timestamp while it is
 ///    being drained — the zero-delay resume pattern (promise wakeups,
 ///    Submit, admission-edge retries). Only a zero delay can hit the
 ///    running timestamp and seq grows with every insert, so a plain FIFO
-///    is exact; push and pop are O(1) with no comparisons. Zero-delay
-///    payloads ride a parallel FIFO (`now_pay_`) and skip the slab
-///    entirely: this lane is the hottest pattern in the engine.
-///  * `bottom_`: drain heap, a small binary min-heap on (time, seq)
-///    holding the current drain bucket when it is sparse, plus late
-///    inserts that land below the drain cursor. O(log k) in the *bucket*
-///    population, not the whole queue.
+///    is exact; push and pop are O(1) with no comparisons.
+///  * `bottom_`: the drain run. A pulled calendar bucket that is not dense
+///    is sorted once, in descending (time, seq) order, so PopMin takes the
+///    minimum off the back in O(1). Late inserts that land below the drain
+///    cursor go in by binary search (upper_bound + insert): they are near
+///    the current time, so they land near the back and shift few keys.
 ///  * `sub_` (rung 1): when a calendar bucket is pulled with more than
 ///    kSplitThreshold events it is scattered into 2^kWidthShift
 ///    sub-buckets of one nanosecond each. SimTime is integral
@@ -72,7 +80,7 @@ class EventQueue {
   static constexpr size_t kNumBuckets = 1024;
   /// Rung-1 sub-buckets per calendar bucket: one per nanosecond of width.
   static constexpr size_t kSubBuckets = size_t{1} << kWidthShift;
-  /// Bucket population above which scattering into rung 1 beats a heap.
+  /// Bucket population above which scattering into rung 1 beats a sort.
   static constexpr size_t kSplitThreshold = 48;
   /// Consumed-prefix length at which the now-FIFO compacts in place.
   static constexpr size_t kCompactThreshold = 1024;
@@ -84,38 +92,26 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
+  /// Queues callback `fn` at (time, seq).
   void Push(SimTime time, uint64_t seq, InlineEvent fn) {
-    assert(time >= 0);
-    assert(seq < (uint64_t{1} << kSeqBits) && "seq space exhausted");
-    ++size_;
+    Admit(time, seq);
     if (time == drain_time_) {
-      // Zero-delay fast lane: seq is monotone, FIFO order is exact. The
-      // payload goes straight into the parallel FIFO — no slab round-trip.
-      now_fifo_.push_back(Key{time, (seq << kSlotBits) | kDirectSlot});
-      now_pay_.push_back(std::move(fn));
+      PushNow(time, seq, std::move(fn));
       return;
     }
-    const Key key{time, (seq << kSlotBits) | AllocSlot(std::move(fn))};
-    const uint64_t b = BucketOf(time);
-    if (sub_active_ && b == sub_bucket_) {
-      const size_t s = SubIndexOf(time);
-      if (s >= sub_cursor_) {
-        sub_[s].push_back(key);
-        ++sub_count_;
-        return;
-      }
-      // Below the rung-1 drain cursor: fall through to the drain heap.
-    } else if (b >= cur_bucket_ + kNumBuckets) {
-      overflow_.push_back(key);
-      std::push_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
-      return;
-    } else if (b >= cur_bucket_) {
-      ring_[b & kRingMask].push_back(key);
-      ++ring_count_;
+    Place(Key{time, (seq << kSlotBits) | AllocSlot(std::move(fn))});
+  }
+
+  /// Queues a wakeup of coroutine `h` at (time, seq). Only the frame
+  /// address is stored, in the side table; at the drain timestamp the
+  /// wakeup takes the zero-delay lane like any other event.
+  void PushResume(SimTime time, uint64_t seq, std::coroutine_handle<> h) {
+    Admit(time, seq);
+    if (time == drain_time_) {
+      PushNow(time, seq, InlineEvent::Resume(h));
       return;
     }
-    bottom_.push_back(key);
-    std::push_heap(bottom_.begin(), bottom_.end(), LaterFirst{});
+    Place(Key{time, (seq << kSlotBits) | AllocFrame(h.address())});
   }
 
   /// Smallest (time, seq) event's timestamp. Queue must be non-empty.
@@ -124,14 +120,14 @@ class EventQueue {
     if (now_head_ < now_fifo_.size()) {
       // Late inserts below the drain cursor sit in bottom_ and may precede
       // the FIFO; both can only tie on the timestamp itself.
-      if (!bottom_.empty() && bottom_.front().time < drain_time_) {
-        return bottom_.front().time;
+      if (!bottom_.empty() && bottom_.back().time < drain_time_) {
+        return bottom_.back().time;
       }
       return drain_time_;
     }
     if (bottom_.empty()) Advance();
     if (now_head_ < now_fifo_.size()) return drain_time_;
-    return bottom_.front().time;
+    return bottom_.back().time;
   }
 
   /// Removes and returns the smallest (time, seq) event.
@@ -141,14 +137,14 @@ class EventQueue {
     if (now_head_ >= now_fifo_.size() && bottom_.empty()) Advance();
     if (now_head_ < now_fifo_.size()) {
       const Key fifo_front = now_fifo_[now_head_];
-      // Same-timestamp events still in the drain heap were inserted before
+      // Same-timestamp events still in the drain run were inserted before
       // anything in the FIFO (smaller seq), and late sub-cursor inserts in
-      // the heap may precede the FIFO's timestamp outright.
-      if (bottom_.empty() || LaterFirst{}(bottom_.front(), fifo_front)) {
-        Event ev{fifo_front.time, fifo_front.seqslot >> kSlotBits,
-                 SlotOf(fifo_front) == kDirectSlot
-                     ? std::move(now_pay_[pay_head_++])
-                     : TakeSlot(SlotOf(fifo_front))};
+      // the run may precede the FIFO's timestamp outright.
+      if (bottom_.empty() || LaterFirst{}(bottom_.back(), fifo_front)) {
+        Event ev = SlotOf(fifo_front) == kDirectSlot
+                       ? Event{fifo_front.time, fifo_front.seqslot >> kSlotBits,
+                               {}, std::move(now_pay_[pay_head_++])}
+                       : Take(fifo_front);
         if (++now_head_ == now_fifo_.size()) {
           now_fifo_.clear();
           now_head_ = 0;
@@ -173,11 +169,10 @@ class EventQueue {
         return ev;
       }
     }
-    std::pop_heap(bottom_.begin(), bottom_.end(), LaterFirst{});
     const Key key = bottom_.back();
     bottom_.pop_back();
     drain_time_ = key.time;
-    return Event{key.time, key.seqslot >> kSlotBits, TakeSlot(SlotOf(key))};
+    return Take(key);
   }
 
   /// Pre-sizes every internal vector for an allocation-free steady state.
@@ -185,12 +180,13 @@ class EventQueue {
   /// storage with `bottom_`/`now_fifo_` — so without this a fresh queue
   /// keeps growing freshly-rotated-in small vectors for many ring
   /// revolutions after the load has stabilized. `pending_events` bounds the
-  /// simultaneously-queued event count (slab, overflow, zero-delay lane);
-  /// `bucket_capacity` bounds the population of any single calendar bucket
-  /// or single-timestamp burst.
+  /// simultaneously-queued event count (slab, side table, overflow,
+  /// zero-delay lane); `bucket_capacity` bounds the population of any
+  /// single calendar bucket or single-timestamp burst.
   void Reserve(size_t pending_events, size_t bucket_capacity) {
     slab_.reserve(pending_events);
     free_slots_.reserve(slab_.capacity());
+    frames_.reserve(pending_events);
     now_fifo_.reserve(std::max(pending_events, bucket_capacity));
     now_pay_.reserve(pending_events);
     bottom_.reserve(bucket_capacity);
@@ -218,6 +214,8 @@ class EventQueue {
     overflow_.clear();
     slab_.clear();  // destroys every other pending callback
     free_slots_.clear();
+    frames_.clear();  // wakeups own nothing: the frames belong to the caller
+    free_frame_ = kNoFrame;
     ring_count_ = 0;
     sub_count_ = 0;
     size_ = 0;
@@ -228,21 +226,34 @@ class EventQueue {
   static constexpr uint64_t kSubMask = kSubBuckets - 1;
   static_assert((kNumBuckets & kRingMask) == 0, "ring size must be 2^k");
 
-  /// Keys pack seq (high 40 bits) and the slab slot (low 24 bits) into one
-  /// word. seq is globally unique, so comparing the packed word orders by
-  /// seq alone — the slot bits never decide. 2^40 events per run and 2^24
-  /// simultaneously pending events are far beyond anything the simulator
-  /// reaches (the old heap at 2^24 pending was already >1 GiB).
+  /// Keys pack seq (high 40 bits) and the payload slot (low 24 bits) into
+  /// one word. seq is globally unique, so comparing the packed word orders
+  /// by seq alone — the slot bits never decide. 2^40 events per run and
+  /// 2^23 simultaneously pending events of either kind are far beyond
+  /// anything the simulator reaches (the old heap at 2^23 pending was
+  /// already >0.5 GiB).
   static constexpr int kSlotBits = 24;
   static constexpr int kSeqBits = 64 - kSlotBits;
+  /// Slot of a zero-delay lane event: its payload is the next `now_pay_`.
   static constexpr uint32_t kDirectSlot = (uint32_t{1} << kSlotBits) - 1;
+  /// Tag bit of a resume slot; the bits below index `frames_`. Callback
+  /// slots index `slab_` and stay below the tag.
+  static constexpr uint32_t kResumeTag = uint32_t{1} << (kSlotBits - 1);
+  /// Free-list terminator of `frames_`. Never a live index, so no resume
+  /// slot collides with kDirectSlot.
+  static constexpr uint32_t kNoFrame = kResumeTag - 1;
+  static_assert((kResumeTag | kNoFrame) == kDirectSlot);
 
   struct Key {
     SimTime time;
     uint64_t seqslot;
   };
+  static_assert(sizeof(Key) == 16, "keys must stay two words");
 
-  struct LaterFirst {  // max-heap comparator -> std::*_heap act as min-heap
+  /// Strict "a fires after b". The heap comparator for `overflow_` (so the
+  /// std::*_heap calls act as a min-heap) and the sort order of `bottom_`
+  /// (descending, the minimum at the back).
+  struct LaterFirst {
     bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seqslot > b.seqslot;
@@ -259,10 +270,61 @@ class EventQueue {
     return static_cast<size_t>(static_cast<uint64_t>(time) & kSubMask);
   }
 
+  void Admit([[maybe_unused]] SimTime time, [[maybe_unused]] uint64_t seq) {
+    assert(time >= 0);
+    assert(seq < (uint64_t{1} << kSeqBits) && "seq space exhausted");
+    ++size_;
+  }
+
+  /// Zero-delay lane: seq is monotone, so FIFO order is exact. The payload
+  /// goes straight into the parallel FIFO, with no slot.
+  void PushNow(SimTime time, uint64_t seq, InlineEvent&& fn) {
+    now_fifo_.push_back(Key{time, (seq << kSlotBits) | kDirectSlot});
+    now_pay_.push_back(std::move(fn));
+  }
+
+  /// Files a slotted key into the tier its bucket belongs to.
+  void Place(const Key& key) {
+    const uint64_t b = BucketOf(key.time);
+    if (sub_active_ && b == sub_bucket_) {
+      const size_t s = SubIndexOf(key.time);
+      if (s >= sub_cursor_) {
+        sub_[s].push_back(key);
+        ++sub_count_;
+        return;
+      }
+      // Below the rung-1 drain cursor: joins the drain run.
+    } else if (b >= cur_bucket_ + kNumBuckets) {
+      overflow_.push_back(key);
+      std::push_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
+      return;
+    } else if (b >= cur_bucket_) {
+      ring_[b & kRingMask].push_back(key);
+      ++ring_count_;
+      return;
+    }
+    bottom_.insert(
+        std::upper_bound(bottom_.begin(), bottom_.end(), key, LaterFirst{}),
+        key);
+  }
+
+  /// Hands back the payload of a slotted (non-direct) key, freeing its slot.
+  Event Take(const Key& key) {
+    const uint64_t seq = key.seqslot >> kSlotBits;
+    const uint32_t slot = SlotOf(key);
+    if ((slot & kResumeTag) != 0) {
+      return Event{key.time, seq,
+                   std::coroutine_handle<>::from_address(
+                       TakeFrame(slot & ~kResumeTag)),
+                   {}};
+    }
+    return Event{key.time, seq, {}, TakeSlot(slot)};
+  }
+
   uint32_t AllocSlot(InlineEvent fn) {
     if (free_slots_.empty()) {
       slab_.push_back(std::move(fn));
-      assert(slab_.size() < kDirectSlot && "slab slot space exhausted");
+      assert(slab_.size() <= kResumeTag && "slab slot space exhausted");
       // free_slots_ can never hold more entries than the slab has slots, so
       // growing it here (already an allocating moment) keeps TakeSlot — the
       // steady-state pop path — allocation-free forever after.
@@ -278,6 +340,29 @@ class EventQueue {
   InlineEvent TakeSlot(uint32_t slot) {
     free_slots_.push_back(slot);
     return std::move(slab_[slot]);
+  }
+
+  /// Stores a frame address in the side table. Free entries form an
+  /// intrusive LIFO list through `frames_` itself, so a wakeup touches one
+  /// word to allocate and one to free.
+  uint32_t AllocFrame(void* frame) {
+    const auto addr = reinterpret_cast<uintptr_t>(frame);
+    if (free_frame_ == kNoFrame) {
+      frames_.push_back(addr);
+      assert(frames_.size() <= kNoFrame && "resume slot space exhausted");
+      return kResumeTag | static_cast<uint32_t>(frames_.size() - 1);
+    }
+    const uint32_t index = free_frame_;
+    free_frame_ = static_cast<uint32_t>(frames_[index]);
+    frames_[index] = addr;
+    return kResumeTag | index;
+  }
+
+  void* TakeFrame(uint32_t index) {
+    void* frame = reinterpret_cast<void*>(frames_[index]);
+    frames_[index] = free_frame_;
+    free_frame_ = index;
+    return frame;
   }
 
   /// Refills now_fifo_ or bottom_ from the rungs (and the ring from the
@@ -323,7 +408,7 @@ class EventQueue {
     }
     bottom_.swap(bucket);
     ring_count_ -= bottom_.size();
-    std::make_heap(bottom_.begin(), bottom_.end(), LaterFirst{});
+    std::sort(bottom_.begin(), bottom_.end(), LaterFirst{});
     ++cur_bucket_;
     MigrateOverflow();
   }
@@ -354,14 +439,16 @@ class EventQueue {
     }
   }
 
-  std::vector<InlineEvent> slab_;     // payloads, indexed by key slot
+  std::vector<InlineEvent> slab_;     // callback payloads, by key slot
   std::vector<uint32_t> free_slots_;  // recycled slab indices (LIFO)
+  std::vector<uintptr_t> frames_;     // resume frame addresses, by slot
+  uint32_t free_frame_ = kNoFrame;    // head of the free list in frames_
 
   std::vector<Key> now_fifo_;        // events at drain_time_, FIFO by seq
   size_t now_head_ = 0;              // consume cursor into now_fifo_
   std::vector<InlineEvent> now_pay_; // zero-delay payloads (slab bypass)
   size_t pay_head_ = 0;              // consume cursor into now_pay_
-  std::vector<Key> bottom_;          // drain heap: min-heap on (time, seq)
+  std::vector<Key> bottom_;          // drain run: (time, seq) descending
   std::vector<std::vector<Key>> ring_;  // rung 0 calendar buckets
   std::vector<std::vector<Key>> sub_;   // rung 1: 1-ns sub-buckets
   std::vector<Key> overflow_;           // min-heap on (time, seq)

@@ -22,8 +22,8 @@ namespace p4db::sim {
 ///
 /// The scheduling core is allocation-free on the hot paths: callbacks are
 /// stored inline in the event (InlineEvent, 48-byte SBO), coroutine wakeups
-/// bypass callback construction entirely (ScheduleResume), and events live
-/// in a two-tier calendar queue (EventQueue) instead of a binary heap. See
+/// store only the frame address (ScheduleResume), and events live in a
+/// multi-tier calendar queue (EventQueue) instead of a binary heap. See
 /// DESIGN.md "Simulator core".
 class Simulator {
  public:
@@ -50,7 +50,8 @@ class Simulator {
 
   /// Coroutine fast path: resume `h` at now() + delay. Equivalent to
   /// Schedule(delay, [h] { h.resume(); }) but never materializes a callback
-  /// object — the event stores just the frame address.
+  /// object — the queue keeps just the frame address (a zero delay rides
+  /// the zero-delay lane as a one-pointer InlineEvent).
   void ScheduleResume(SimTime delay, std::coroutine_handle<> h) {
     ScheduleResumeAt(now_ + delay, h);
   }
@@ -58,7 +59,7 @@ class Simulator {
   /// Coroutine fast path at absolute time t (t >= now()).
   void ScheduleResumeAt(SimTime t, std::coroutine_handle<> h) {
     assert(t >= now_);
-    queue_.Push(t, next_seq_++, InlineEvent::Resume(h));
+    queue_.PushResume(t, next_seq_++, h);
   }
 
   /// Runs until the event queue drains (or Stop() is called).
@@ -120,7 +121,11 @@ class Simulator {
     assert(ev.time >= now_);
     now_ = ev.time;
     ++executed_;
-    ev.fn();
+    if (ev.resume) {
+      ev.resume.resume();
+    } else {
+      ev.fn();
+    }
   }
 
   EventQueue queue_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <tuple>
 
 #include "switchsim/inflight_pool.h"
 
@@ -19,9 +18,15 @@ uint8_t RegionOf(const PipelineConfig& config, uint8_t stage) {
 }  // namespace
 
 void PassPlan::Build(std::span<const Instruction> instrs) {
+  // Execution order comes from sorting packed (pass, stage, reg, index)
+  // words and reading the index back from the low byte.
+  static_assert(PacketCodec::kMaxInstructions <= 0x100,
+                "instruction index must fit the sort key's low byte");
+  assert(instrs.size() <= PacketCodec::kMaxInstructions);
   // Last pass of every register array met so far, keyed (stage << 8) | reg.
   // Packets touch a handful of arrays; a linear scan needs no allocation.
   SmallVector<std::pair<uint16_t, uint32_t>, 64> last_pass;
+  SmallVector<uint64_t, 64> keys;
   passes = 1;
   pass.clear();
   for (size_t i = 0; i < instrs.size(); ++i) {
@@ -46,14 +51,15 @@ void PassPlan::Build(std::span<const Instruction> instrs) {
     }
     pass.push_back(p);
     passes = std::max(passes, p);
+    keys.push_back(uint64_t{p} << 24 | uint64_t{array} << 8 | i);
   }
+  // (pass, stage, reg) is unique — passes strictly increase along each
+  // array — so the index byte never decides the order.
+  std::sort(keys.begin(), keys.end());
   order.clear();
-  for (uint32_t i = 0; i < instrs.size(); ++i) order.push_back(i);
-  // Keys are unique: passes strictly increase along each array.
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return std::tie(pass[a], instrs[a].addr.stage, instrs[a].addr.reg) <
-           std::tie(pass[b], instrs[b].addr.stage, instrs[b].addr.reg);
-  });
+  for (const uint64_t key : keys) {
+    order.push_back(static_cast<uint32_t>(key & 0xFF));
+  }
 }
 
 void StampHeader(const PipelineConfig& config, const PassPlan& plan,

@@ -65,6 +65,9 @@ db::Transaction Tpcc::MakeNewOrder(Rng& rng, uint32_t w) {
   const uint32_t c =
       static_cast<uint32_t>(rng.NextRange(config_.customers_per_district));
   const uint32_t ol_cnt = 5 + static_cast<uint32_t>(rng.NextRange(11));
+  // Three header ops, two per order line, three inserts and one insert per
+  // line: sized once instead of growing 8 -> 16 -> 32 -> 64.
+  txn.ops.reserve(6 + 3 * ol_cnt);
 
   // Header reads + the contended next-order-id increment.
   txn.ops.push_back(

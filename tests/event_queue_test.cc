@@ -26,9 +26,10 @@ namespace p4db::sim {
 namespace {
 
 // Delays chosen to land on every tier of the calendar queue and straddle its
-// boundaries: the zero-delay FIFO lane, the current-bucket drain heap, the
-// rung-1 sub-buckets (512ns wide), the 1024-bucket ring, and the overflow
-// heap past the 1024 * 512ns = ~524us horizon.
+// boundaries: the zero-delay FIFO lane, the current bucket's sorted drain
+// run (late inserts in front of, between and behind its pending keys), the
+// rung-1 sub-buckets (1 ns each), the 1024 x 512 ns ring, and the overflow
+// heap past the ~524 us horizon.
 constexpr SimTime kBoundaryDelays[] = {
     0,      0,      1,      3,       7,       64,        511,
     512,    513,    1023,   1024,    4096,    262143,    262144,
@@ -86,12 +87,15 @@ class ModelSim {
 //
 // Mix: plain callback events that fan out children (Schedule / ScheduleAt
 // picked at random), plus coroutine "loopers" whose wakeups go through
-// ScheduleResume — the fast path that bypasses callback construction.
+// ScheduleResume / ScheduleResumeAt (also picked at random) — the wakeup
+// route that stores only the frame address. Loopers carry most of the
+// traffic, as suspended-worker wakeups do in engine runs.
 // ---------------------------------------------------------------------------
 struct StressState {
   Rng rng;
   Trace trace;
   uint64_t next_id = 0;
+  uint64_t resumes = 0;  // looper wakeups executed
   int budget = 0;  // remaining event executions allowed to spawn children
 };
 
@@ -117,13 +121,18 @@ struct RealFire {
   }
 };
 
-// Real core: coroutine looper resumed via ScheduleResume.
+// Real core: coroutine looper resumed via ScheduleResume(At).
 struct ResumeAfterDelay {
   Simulator* sim;
   SimTime delay;
+  bool absolute = false;
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    sim->ScheduleResume(delay, h);
+    if (absolute) {
+      sim->ScheduleResumeAt(sim->now() + delay, h);
+    } else {
+      sim->ScheduleResume(delay, h);
+    }
   }
   void await_resume() const noexcept {}
 };
@@ -132,13 +141,14 @@ Task RealLooper(Simulator& sim, StressState& st, int hops) {
   for (int i = 0; i < hops; ++i) {
     const SimTime d = kBoundaryDelays[st.rng.NextRange(kNumDelays)];
     const uint64_t id = st.next_id++;
-    co_await ResumeAfterDelay{&sim, d};
+    co_await ResumeAfterDelay{&sim, d, st.rng.NextBool(0.5)};
     st.trace.emplace_back(sim.now(), id);
+    ++st.resumes;
   }
 }
 
 Trace RunReal(uint64_t seed, int num_seeds, int num_loopers, int hops,
-              int budget) {
+              int budget, uint64_t* resumes = nullptr) {
   Simulator sim;
   StressState st;
   st.rng.Seed(seed);
@@ -152,12 +162,14 @@ Trace RunReal(uint64_t seed, int num_seeds, int num_loopers, int hops,
     if (i < num_loopers) tasks.push_back(RealLooper(sim, st, hops));
   }
   sim.Run();
+  if (resumes != nullptr) *resumes = st.resumes;
   return std::move(st.trace);
 }
 
 // Model: the same workload against the reference heap. A looper is modeled
 // as a self-rescheduling event — same rng draw positions as the coroutine
-// (delay drawn at schedule time, trace appended at fire time).
+// (delay and relative/absolute coin drawn at schedule time, trace appended
+// at fire time).
 struct ModelEvent {
   uint64_t id;
   bool is_looper;
@@ -174,6 +186,7 @@ Trace RunModel(uint64_t seed, int num_seeds, int num_loopers, int hops,
   auto schedule_looper = [&](int hops_left) {
     const SimTime d = kBoundaryDelays[st.rng.NextRange(kNumDelays)];
     const uint64_t id = st.next_id++;
+    st.rng.NextBool(0.5);  // real core's ScheduleResume-vs-At coin
     events.push_back(ModelEvent{id, true, hops_left});
     sim.Schedule(d, events.size() - 1);
   };
@@ -208,8 +221,9 @@ Trace RunModel(uint64_t seed, int num_seeds, int num_loopers, int hops,
 
 TEST(EventQueueStressTest, MatchesReferenceModelAcrossSeeds) {
   for (uint64_t seed : {1u, 7u, 42u, 1234567u}) {
-    const Trace real = RunReal(seed, 256, 32, 80, 20000);
-    const Trace model = RunModel(seed, 256, 32, 80, 20000);
+    uint64_t resumes = 0;
+    const Trace real = RunReal(seed, 256, 160, 100, 8000, &resumes);
+    const Trace model = RunModel(seed, 256, 160, 100, 8000);
     ASSERT_EQ(real.size(), model.size()) << "seed " << seed;
     for (size_t i = 0; i < real.size(); ++i) {
       ASSERT_EQ(real[i], model[i])
@@ -217,8 +231,10 @@ TEST(EventQueueStressTest, MatchesReferenceModelAcrossSeeds) {
           << real[i].first << "," << real[i].second << ") model=("
           << model[i].first << "," << model[i].second << ")";
     }
-    // Sanity: the workload actually exercised a non-trivial schedule.
-    EXPECT_GT(real.size(), 5000u) << "seed " << seed;
+    // Sanity: the workload actually exercised a non-trivial schedule, and
+    // wakeups were at least half of it.
+    EXPECT_GT(real.size(), 20000u) << "seed " << seed;
+    EXPECT_GE(2 * resumes, real.size()) << "seed " << seed;
   }
 }
 
@@ -272,6 +288,74 @@ TEST(SimulatorDiscardTest, DiscardPendingClearsAllTiers) {
   sim.Schedule(5, [&fired] { ++fired; });
   sim.Run();
   EXPECT_EQ(fired, 1);
+}
+
+// Sleeps once for `delay`, then records (wake time, id).
+Task SleepOnce(Simulator& sim, SimTime delay, uint64_t id, Trace* woke) {
+  co_await ResumeAfterDelay{&sim, delay};
+  woke->emplace_back(sim.now(), id);
+}
+
+// Wakeups pending in every tier at once: the zero-delay lane, the current
+// bucket (as a sorted drain run when it is sparse, as rung 1 when it is
+// dense), the ring and the overflow heap. Discarding must drop all of them,
+// and the cleared queue must then deliver fresh wakeups and callbacks in
+// exact (time, seq) order — also when side-table entries were free at the
+// discard, so the reused queue must not hand out stale ones.
+TEST(SimulatorDiscardTest, DiscardPendingDropsResumesInEveryTier) {
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "dense bucket (rung 1)" : "sparse bucket (run)");
+    Simulator sim;
+    Trace woke;
+    int fired = 0;
+    std::vector<Task> sleepers;
+    // Eight wakeups that fire (and free their entries) before 600.
+    Trace early;
+    for (uint64_t i = 0; i < 8; ++i) {
+      sleepers.push_back(SleepOnce(sim, 10 * (i + 1), i, &early));
+    }
+    // Bucket [512, 1024): the control event at 600, then fillers every 2 ns
+    // — 5 events in all (sorted into the drain run) or 61 (scattered).
+    sim.ScheduleAt(600, [&] {
+      // Delays 0 (zero-delay lane); 1, 3 and 20 (in front of, between and
+      // behind the fillers); 1000 (ring); 1e8 (overflow).
+      const SimTime delays[] = {0, 1, 3, 20, 1000, 100000000};
+      for (uint64_t i = 0; i < 6; ++i) {
+        sleepers.push_back(SleepOnce(sim, delays[i], i, &woke));
+      }
+      sim.Stop();
+    });
+    const int fillers = dense ? 60 : 4;
+    for (int i = 0; i < fillers; ++i) {
+      sim.ScheduleAt(601 + 2 * i, [&fired] { ++fired; });
+    }
+    sim.Run();
+    ASSERT_EQ(sim.now(), 600);
+    ASSERT_EQ(early.size(), 8u);
+    ASSERT_EQ(sim.pending_events(), static_cast<size_t>(fillers) + 6);
+
+    sim.DiscardPending();
+    EXPECT_EQ(sim.pending_events(), 0u);
+    sim.Resume();
+    sim.Run();
+    EXPECT_TRUE(woke.empty());
+    EXPECT_EQ(fired, 0);
+    sleepers.clear();  // safe: no queued event references these frames
+
+    // Reuse: the same tiers again, wakeups interleaved with callbacks.
+    std::vector<std::pair<SimTime, uint64_t>> expected;
+    const SimTime delays[] = {0, 1, 3, 20, 1000, 100000000};
+    for (uint64_t i = 0; i < 6; ++i) {
+      sleepers.push_back(SleepOnce(sim, delays[i], 2 * i, &woke));
+      sim.Schedule(delays[i], [&woke, &sim, i] {
+        woke.emplace_back(sim.now(), 2 * i + 1);
+      });
+      expected.emplace_back(600 + delays[i], 2 * i);
+      expected.emplace_back(600 + delays[i], 2 * i + 1);
+    }
+    sim.Run();
+    EXPECT_EQ(woke, expected);
+  }
 }
 
 // ---------------------------------------------------------------------------

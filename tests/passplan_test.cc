@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -169,6 +171,38 @@ TEST_P(PassPlanPropertyTest, PlannerMatchesTheSweepReference) {
     EXPECT_EQ(plan.passes, *std::max_element(ref.pass.begin(),
                                              ref.pass.end()));
   }
+}
+
+TEST_P(PassPlanPropertyTest, OrderMatchesTheTupleComparator) {
+  // Programs up to a full packet, with stages and registers spread over
+  // their whole byte (so an overlap of the packed sort key's fields would
+  // reorder) and few enough arrays that most programs take several passes.
+  Rng rng(GetParam() * 13);
+  PassPlan plan;
+  int multipass = 0;
+  for (int iter = 0; iter < 100; ++iter) {
+    const size_t n = 1 + rng.NextRange(PacketCodec::kMaxInstructions);
+    std::vector<Instruction> instrs(n);
+    for (size_t i = 0; i < n; ++i) {
+      instrs[i].addr.stage = static_cast<uint8_t>(rng.NextRange(6) * 51);
+      instrs[i].addr.reg = static_cast<uint8_t>(rng.NextRange(4) * 85);
+      if (i > 0 && rng.NextBool(0.3)) {
+        instrs[i].operand_src = static_cast<uint8_t>(rng.NextRange(i));
+      }
+    }
+    plan.Build(instrs);
+    std::vector<uint32_t> expected(n);
+    std::iota(expected.begin(), expected.end(), 0u);
+    std::sort(expected.begin(), expected.end(), [&](uint32_t a, uint32_t b) {
+      return std::tie(plan.pass[a], instrs[a].addr.stage, instrs[a].addr.reg) <
+             std::tie(plan.pass[b], instrs[b].addr.stage, instrs[b].addr.reg);
+    });
+    ASSERT_EQ(std::vector<uint32_t>(plan.order.begin(), plan.order.end()),
+              expected)
+        << "program " << iter << " of " << n << " instructions";
+    if (plan.passes > 1) ++multipass;
+  }
+  EXPECT_GT(multipass, 80);
 }
 
 struct ResultBox {

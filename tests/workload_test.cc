@@ -262,6 +262,17 @@ TEST_F(TpccTest, NewOrderShape) {
   EXPECT_LE(inserts, 2u + 15u);
 }
 
+TEST_F(TpccTest, NewOrderOpsAreSizedOnce) {
+  // The generator reserves exactly its op count, so the op vector never
+  // grows (and never over-allocates) while a NewOrder is built.
+  Rng rng(12);
+  for (int i = 0; i < 1000; ++i) {
+    const db::Transaction txn =
+        tpcc_->MakeNewOrder(rng, static_cast<uint32_t>(i % 8));
+    ASSERT_EQ(txn.ops.capacity(), txn.ops.size()) << "draw " << i;
+  }
+}
+
 TEST_F(TpccTest, NewOrderStockDecrementsAreConstrained) {
   Rng rng(9);
   const db::Transaction txn = tpcc_->MakeNewOrder(rng, 0);
