@@ -20,7 +20,7 @@ using namespace p4db;  // NOLINT: example brevity
 namespace {
 
 double PredictSinglePassShare(const core::LayoutPlan& plan,
-                              const std::vector<core::HotItem>& items,
+                              const core::AccessGraph& graph,
                               const std::vector<db::Transaction>& sample,
                               const db::Catalog& catalog,
                               const sw::PipelineConfig& pipe) {
@@ -28,11 +28,11 @@ double PredictSinglePassShare(const core::LayoutPlan& plan,
   // sample's hot transactions.
   core::PartitionManager pm(&catalog, &pipe);
   std::map<std::pair<int, int>, uint32_t> next_slot;
-  for (const core::HotItem& item : items) {
-    const auto arr = plan.arrays.at(item);
+  for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
+    const core::LayoutPlan::ArrayRef arr = plan.arrays[v];
     const uint32_t slot = next_slot[{arr.stage, arr.reg}]++;
-    pm.RegisterHotItem(item, sw::RegisterAddress{arr.stage, arr.reg, slot},
-                       0);
+    pm.RegisterHotItem(graph.item(v),
+                       sw::RegisterAddress{arr.stage, arr.reg, slot}, 0);
   }
   uint64_t hot_txns = 0, single_pass = 0;
   for (db::Transaction txn : sample) {
@@ -102,11 +102,9 @@ int main() {
   // 4. What that means for execution: predicted single-pass share.
   std::printf("step 4: predicted single-pass hot transactions:\n");
   std::printf("        optimal layout: %5.1f%%\n",
-              PredictSinglePassShare(optimal, hot_items, sample, catalog,
-                                     pipe));
+              PredictSinglePassShare(optimal, graph, sample, catalog, pipe));
   std::printf("        random layout:  %5.1f%%\n",
-              PredictSinglePassShare(random, hot_items, sample, catalog,
-                                     pipe));
+              PredictSinglePassShare(random, graph, sample, catalog, pipe));
   std::printf("\nsavings balances gravitate to early stages so Amalgamate's "
               "dependent credit\n(chk[b] += sav[a] + chk[a]) lands in a "
               "later stage and stays single-pass.\n");

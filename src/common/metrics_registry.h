@@ -12,7 +12,7 @@
 namespace p4db {
 
 /// Named-metric registry shared by the components of one simulated cluster
-/// (Network, Pipeline, LockManager, Wal, Engine). Components register
+/// (transport, Pipeline, LockManager, Wal, Engine). Components register
 /// counters/histograms by hierarchical name ("net.messages_sent",
 /// "switch.txns_completed", ...) at construction and bump them on the hot
 /// path through stable pointers; the bench harness dumps the whole registry

@@ -64,7 +64,7 @@ struct Record {
 /// Simulated-time tracer: a preallocated ring of fixed-size Records.
 ///
 /// Three modes. kDisabled is fully inert (the shared Disabled() instance lets
-/// standalone Network/Pipeline construction skip null checks). The default
+/// standalone transport/Pipeline construction skip null checks). The default
 /// kFlightRecorder keeps a small always-on ring of the last N spans so a
 /// failing chaos/failover run can dump the moments before death. kFull sizes
 /// the ring for a whole seeded run and is what --trace exports.

@@ -44,6 +44,10 @@ class AccessGraph {
 
   size_t num_vertices() const { return items_.size(); }
   const HotItem& item(uint32_t v) const { return items_[v]; }
+  /// Vertex id of `item`, or null if it is not a vertex.
+  const uint32_t* FindVertex(const HotItem& item) const {
+    return ids_.find(item);
+  }
   const std::vector<HotItem>& items() const { return items_; }
 
   /// Edge weights between u and v (either order); zero weights if absent.

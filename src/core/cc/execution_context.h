@@ -10,7 +10,8 @@
 #include "core/fault_controller.h"
 #include "core/int_collector.h"
 #include "core/partition_manager.h"
-#include "core/shard_router.h"
+#include "core/cc/node_set.h"
+#include "core/transport.h"
 #include "db/lock_manager.h"
 #include "db/table.h"
 #include "db/wal.h"
@@ -26,7 +27,7 @@ namespace p4db::core::cc {
 
 /// Everything a concurrency-control strategy needs to execute transactions
 /// against one simulated cluster: the shared infrastructure owned by the
-/// Engine (simulator, rack network, fault controller, catalog, partition
+/// Engine (transport, fault controller, catalog, partition
 /// manager, per-node lock managers and WALs) plus the mutable cluster state
 /// it must observe (crashed nodes, the switch's fault state) or advance
 /// (per-node client sequence numbers for switch packets, degraded counts).
@@ -36,8 +37,10 @@ namespace p4db::core::cc {
 /// view, not the cluster.
 struct ExecutionContext {
   const SystemConfig* config = nullptr;
-  sim::Simulator* sim = nullptr;
-  net::Network* net = nullptr;
+  /// The runtime's transport: the only way strategy code reaches a
+  /// simulator, a trace ring or the wire. Go through the Sim()/Trace()/
+  /// SendMsg()/... helpers below.
+  Transport* transport = nullptr;
   /// Switch fault state: primary, epoch, armed / up / draining, degraded
   /// counts. Unarmed it reports switch 0, epoch 0 and always up, so
   /// strategies behave exactly as before fault injection existed.
@@ -51,16 +54,6 @@ struct ExecutionContext {
   /// Per-node sequence numbers for compiled switch transactions; strategies
   /// increment the home node's entry when they build a switch packet.
   std::vector<uint32_t>* next_client_seq = nullptr;
-  /// Engine's tracer; never null (defaults to the shared inert instance so
-  /// strategy code can emit unconditionally).
-  trace::Tracer* tracer = &trace::Tracer::Disabled();
-
-  /// Cross-shard router; non-null exactly when the engine runs the parallel
-  /// sharded runtime. Strategy code must go through the Sim()/Trace()/
-  /// SendMsg()/... helpers below, which dispatch between the legacy
-  /// single-simulator world and shard-aware routing.
-  ShardRouter* router = nullptr;
-
   /// Egress batcher; non-null exactly when config.batch.size > 1 (the
   /// Engine constructs it then and only then). Strategies route their
   /// switch-bound request sends and non-participant response sends through
@@ -104,47 +97,31 @@ struct ExecutionContext {
   /// sharded mode. Strategy code must re-resolve this after every SendMsg
   /// (a send migrates the coroutine to the destination's shard) instead of
   /// caching a Simulator& across awaits.
-  sim::Simulator& Sim() const {
-    return router != nullptr ? router->CurrentSim() : *sim;
-  }
+  sim::Simulator& Sim() const { return transport->CurrentSim(); }
   SimTime Now() const { return Sim().now(); }
 
   /// The trace ring to emit into from the current shard (the engine's
   /// single tracer in legacy mode). Like Sim(), re-resolve after awaits.
-  trace::Tracer& Trace() const {
-    return router != nullptr ? router->CurrentTracer() : *tracer;
-  }
+  trace::Tracer& Trace() const { return transport->CurrentTracer(); }
 
-  /// Awaitable network send. Legacy mode reproduces co_await net->Send
-  /// exactly (one ArrivalTime call, DelayAwaiter semantics); sharded mode
-  /// migrates the coroutine to the destination's shard, resuming it there
-  /// at the arrival time.
+  /// Awaitable network send: resumes the caller at the arrival time — on
+  /// the destination's shard in sharded mode.
   struct SendAwaiter {
-    const ExecutionContext* ctx;
+    Transport* transport;
     net::Endpoint from;
     net::Endpoint to;
     uint32_t bytes;
     uint64_t txn_id;
-    SimTime legacy_delay = 0;
 
-    bool await_ready() {
-      if (ctx->router != nullptr) return false;
-      legacy_delay =
-          ctx->net->ArrivalTime(from, to, bytes, txn_id) - ctx->sim->now();
-      return legacy_delay <= 0;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      if (ctx->router != nullptr) {
-        ctx->router->SendAndMigrate(from, to, bytes, txn_id, h);
-      } else {
-        ctx->sim->ScheduleResume(legacy_delay, h);
-      }
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) const {
+      return transport->Send(from, to, bytes, txn_id, h);
     }
     void await_resume() const noexcept {}
   };
   SendAwaiter SendMsg(net::Endpoint from, net::Endpoint to, uint32_t bytes,
                       uint64_t txn_id = 0) const {
-    return SendAwaiter{this, from, to, bytes, txn_id};
+    return SendAwaiter{transport, from, to, bytes, txn_id};
   }
 
   /// Awaitable no-op in legacy mode (the coroutine never left home). In
@@ -152,55 +129,49 @@ struct ExecutionContext {
   /// timed out while parked at the switch), hops it home one propagation
   /// delay later so the rest of the attempt runs on the home shard.
   struct HomeAwaiter {
-    const ExecutionContext* ctx;
+    Transport* transport;
     NodeId node;
 
-    bool await_ready() const {
-      return ctx->router == nullptr || ctx->router->OnShardOf(node);
-    }
-    void await_suspend(std::coroutine_handle<> h) const {
-      ctx->router->MigrateHome(node, h);
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) const {
+      return transport->ReturnHome(node, h);
     }
     void await_resume() const noexcept {}
   };
-  HomeAwaiter ReturnHome(NodeId node) const { return HomeAwaiter{this, node}; }
-
-  /// Fire-and-forget remote lock release, `delay` from now at `owner`'s
-  /// lock manager (the legacy path is a plain simulator Schedule; the
-  /// sharded path posts to the owner's shard). `delay` must be at least the
-  /// propagation delay, which every release fan-out already models.
-  void ScheduleRelease(NodeId owner, SimTime delay, uint64_t txn_id) const {
-    db::LockManager* lm = &lock_manager(owner);
-    if (router != nullptr) {
-      router->PostRelease(owner, Now() + delay, lm, txn_id);
-    } else {
-      sim->Schedule(delay, [lm, txn_id] { lm->ReleaseAll(txn_id); });
-    }
+  HomeAwaiter ReturnHome(NodeId node) const {
+    return HomeAwaiter{transport, node};
   }
 
-  /// Awaitable sharded-mode switch multicast: releases `txn_id` on every
-  /// participant at that node's arrival time and resumes the caller on
-  /// `self`'s shard at its own arrival. Caller must be on the switch shard
-  /// and must only use this when router != nullptr (the legacy path keeps
-  /// the original MulticastFromSwitch + ScheduleAt sequence).
+  /// Fire-and-forget remote lock release, `delay` from now at `owner`'s
+  /// lock manager. `delay` must be at least the propagation delay, which
+  /// every release fan-out already models.
+  void ScheduleRelease(NodeId owner, SimTime delay, uint64_t txn_id) const {
+    transport->Release(owner, delay, &lock_manager(owner), txn_id);
+  }
+
+  /// Awaitable switch multicast of the commit decision from the serving
+  /// primary: releases `txn_id` on every participant at that node's
+  /// arrival time and resumes the caller at `self`'s arrival (on `self`'s
+  /// shard). The caller runs where the pipeline resumed it.
   struct MulticastAwaiter {
     const ExecutionContext* ctx;
     NodeId self;
     uint32_t bytes;
     uint64_t txn_id;
-    uint64_t participant_mask;
+    const NodeSet* participants;
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
-      ctx->router->MulticastCommit(self, bytes, txn_id, participant_mask,
-                                   *ctx->lock_managers, h);
+    bool await_suspend(std::coroutine_handle<> h) const {
+      return ctx->transport->CommitMulticast(ctx->faults->primary(), self,
+                                             bytes, txn_id, *participants,
+                                             *ctx->lock_managers, h);
     }
     void await_resume() const noexcept {}
   };
   MulticastAwaiter CommitMulticast(NodeId self, uint32_t bytes,
                                    uint64_t txn_id,
-                                   uint64_t participant_mask) const {
-    return MulticastAwaiter{this, self, bytes, txn_id, participant_mask};
+                                   const NodeSet& participants) const {
+    return MulticastAwaiter{this, self, bytes, txn_id, &participants};
   }
 };
 

@@ -94,9 +94,8 @@ Value64 OptimisticCC::OccApplyOp(
 sim::CoTask<bool> OptimisticCC::ExecuteCold(
     NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
     std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
-  sim::Simulator& sim = *ctx_.sim;
   const TimingConfig& t = config().timing;
-  co_await sim::Delay(sim, t.txn_setup);
+  co_await sim::Delay(ctx_.Sim(), t.txn_setup);
   timers->local_work += t.txn_setup;
 
   // ---- READ PHASE ----
@@ -109,40 +108,40 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
         !ctx_.catalog->IsReplicated(op.tuple.table) && owner != node &&
         !occ.fetched.contains(op.tuple)) {
       // Remote snapshot read: one data round trip per distinct tuple.
-      const SimTime t0 = sim.now();
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
-      timers->remote_access += sim.now() - t0;
+      const SimTime t0 = ctx_.Now();
+      co_await ctx_.SendMsg(self, net::Endpoint::Node(owner),
+                            kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(net::Endpoint::Node(owner), self,
+                            kDataRequestBytes, ts);
+      timers->remote_access += ctx_.Now() - t0;
       occ.fetched.insert(op.tuple);
     }
     (*results)[i] = OccApplyOp(op, *results, &occ);
   }
   const SimTime exec_cost = t.op_local * static_cast<SimTime>(txn.ops.size());
-  co_await sim::Delay(sim, exec_cost);
+  co_await sim::Delay(ctx_.Sim(), exec_cost);
   timers->local_work += exec_cost;
 
   // ---- VALIDATION PHASE ----
-  const SimTime validate_begin = sim.now();
+  const SimTime validate_begin = ctx_.Now();
   bool valid = true;
   for (const TupleId& tuple : occ.write_set) {
     const NodeId owner = ctx_.catalog->OwnerOf(tuple);
-    const SimTime t0 = sim.now();
+    const SimTime t0 = ctx_.Now();
     if (owner != node) {
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(self, net::Endpoint::Node(owner),
+                            kDataRequestBytes, ts);
     }
-    co_await sim::Delay(sim, t.lock_op);
+    co_await sim::Delay(ctx_.Sim(), t.lock_op);
     Status st = co_await ctx_.lock_manager(owner).Acquire(
         txn_id, ts, tuple, db::LockMode::kExclusive);
     if (owner != node) {
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(net::Endpoint::Node(owner), self,
+                            kDataRequestBytes, ts);
     }
-    timers->lock_wait += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(), trace::Category::kLockWait, ts,
-                              node);
+    timers->lock_wait += ctx_.Now() - t0;
+    ctx_.Trace().CompleteSpan(t0, ctx_.Now(), trace::Category::kLockWait,
+                              ts, node);
     if (!st.ok()) {
       valid = false;
       break;
@@ -156,7 +155,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
       }
     }
   }
-  ctx_.tracer->CompleteSpan(validate_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(validate_begin, ctx_.Now(),
                             trace::Category::kValidate, ts, node,
                             /*attempt=*/0, /*pass=*/0,
                             /*aux=*/valid ? 1u : 0u);
@@ -164,7 +163,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
     for (NodeId n = 0; n < ctx_.num_nodes(); ++n) {
       ctx_.lock_manager(n).ReleaseAll(txn_id);
     }
-    co_await sim::Delay(sim, t.abort_cost);
+    co_await sim::Delay(ctx_.Sim(), t.abort_cost);
     timers->backoff += t.abort_cost;
     co_return false;
   }
@@ -183,27 +182,27 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
     writes.push_back(db::HostLogOp{cell.tuple, cell.column, value});
   }
   for (const TupleId& tuple : occ.write_set) ++versions_[tuple];
-  const SimTime wal_begin = sim.now();
-  co_await sim::Delay(sim, t.wal_append);
+  const SimTime wal_begin = ctx_.Now();
+  co_await sim::Delay(ctx_.Sim(), t.wal_append);
   timers->local_work += t.wal_append;
   ctx_.wal(node).AppendHostCommit(writes);
-  ctx_.tracer->CompleteSpan(wal_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
                             trace::Category::kWalAppend, ts, node);
 
   bool has_remote = false;
   for (const TupleId& tuple : occ.write_set) {
     has_remote |= (ctx_.catalog->OwnerOf(tuple) != node);
   }
-  const SimTime commit_begin = sim.now();
+  const SimTime commit_begin = ctx_.Now();
   if (has_remote) {
     const SimTime rtt = ctx_.NodeRttEstimate();
-    co_await sim::Delay(sim, 2 * rtt + t.wal_append);  // 2PC rounds
+    co_await sim::Delay(ctx_.Sim(), 2 * rtt + t.wal_append);  // 2PC rounds
     timers->commit += 2 * rtt + t.wal_append;
   } else {
-    co_await sim::Delay(sim, t.commit_local);
+    co_await sim::Delay(ctx_.Sim(), t.commit_local);
     timers->commit += t.commit_local;
   }
-  ctx_.tracer->CompleteSpan(commit_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(commit_begin, ctx_.Now(),
                             trace::Category::kCommit, ts, node);
   for (NodeId n = 0; n < ctx_.num_nodes(); ++n) {
     ctx_.lock_manager(n).ReleaseAll(txn_id);
@@ -214,9 +213,8 @@ sim::CoTask<bool> OptimisticCC::ExecuteCold(
 sim::CoTask<bool> OptimisticCC::ExecuteWarm(
     NodeId node, db::Transaction& txn, uint64_t txn_id, uint64_t ts,
     std::vector<std::optional<Value64>>* results, TxnTimers* timers) {
-  sim::Simulator& sim = *ctx_.sim;
   const TimingConfig& t = config().timing;
-  co_await sim::Delay(sim, t.txn_setup);
+  co_await sim::Delay(ctx_.Sim(), t.txn_setup);
   timers->local_work += t.txn_setup;
 
   // Partition ops as in the 2PL warm path: hot (switch), deferred cold
@@ -253,12 +251,12 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
     const NodeId owner = ctx_.catalog->OwnerOf(op.tuple);
     if (!ctx_.catalog->IsReplicated(op.tuple.table) && owner != node &&
         !occ.fetched.contains(op.tuple)) {
-      const SimTime t0 = sim.now();
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
-      timers->remote_access += sim.now() - t0;
+      const SimTime t0 = ctx_.Now();
+      co_await ctx_.SendMsg(self, net::Endpoint::Node(owner),
+                            kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(net::Endpoint::Node(owner), self,
+                            kDataRequestBytes, ts);
+      timers->remote_access += ctx_.Now() - t0;
       occ.fetched.insert(op.tuple);
     }
     (*results)[i] = OccApplyOp(op, *results, &occ);
@@ -266,7 +264,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
   }
   if (cold_ops > 0) {
     const SimTime exec_cost = t.op_local * static_cast<SimTime>(cold_ops);
-    co_await sim::Delay(sim, exec_cost);
+    co_await sim::Delay(ctx_.Sim(), exec_cost);
     timers->local_work += exec_cost;
   }
 
@@ -280,27 +278,27 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
     for (const TupleId& t2 : to_lock) known |= (t2 == txn.ops[i].tuple);
     if (!known) to_lock.push_back(txn.ops[i].tuple);
   }
-  const SimTime validate_begin = sim.now();
+  const SimTime validate_begin = ctx_.Now();
   bool valid = true;
   NodeSet participants;
   for (const TupleId& tuple : to_lock) {
     const NodeId owner = ctx_.catalog->OwnerOf(tuple);
     if (owner != node) participants.insert(owner);
-    const SimTime t0 = sim.now();
+    const SimTime t0 = ctx_.Now();
     if (owner != node) {
-      co_await ctx_.net->Send(self, net::Endpoint::Node(owner),
-                              kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(self, net::Endpoint::Node(owner),
+                            kDataRequestBytes, ts);
     }
-    co_await sim::Delay(sim, t.lock_op);
+    co_await sim::Delay(ctx_.Sim(), t.lock_op);
     Status st = co_await ctx_.lock_manager(owner).Acquire(
         txn_id, ts, tuple, db::LockMode::kExclusive);
     if (owner != node) {
-      co_await ctx_.net->Send(net::Endpoint::Node(owner), self,
-                              kDataRequestBytes, ts);
+      co_await ctx_.SendMsg(net::Endpoint::Node(owner), self,
+                            kDataRequestBytes, ts);
     }
-    timers->lock_wait += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(), trace::Category::kLockWait, ts,
-                              node);
+    timers->lock_wait += ctx_.Now() - t0;
+    ctx_.Trace().CompleteSpan(t0, ctx_.Now(), trace::Category::kLockWait,
+                              ts, node);
     if (!st.ok()) {
       valid = false;
       break;
@@ -314,7 +312,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
       }
     }
   }
-  ctx_.tracer->CompleteSpan(validate_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(validate_begin, ctx_.Now(),
                             trace::Category::kValidate, ts, node,
                             /*attempt=*/0, /*pass=*/0,
                             /*aux=*/valid ? 1u : 0u);
@@ -322,7 +320,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
     for (NodeId n = 0; n < ctx_.num_nodes(); ++n) {
       ctx_.lock_manager(n).ReleaseAll(txn_id);
     }
-    co_await sim::Delay(sim, t.abort_cost);
+    co_await sim::Delay(ctx_.Sim(), t.abort_cost);
     timers->backoff += t.abort_cost;
     co_return false;
   }
@@ -331,15 +329,15 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
   auto compiled = ctx_.pm->Compile(txn, *results, node,
                                    (*ctx_.next_client_seq)[node]++);
   assert(compiled.ok() && "warm transaction's hot part must compile");
-  const SimTime wal_begin = sim.now();
-  co_await sim::Delay(sim, t.wal_append);
+  const SimTime wal_begin = ctx_.Now();
+  co_await sim::Delay(ctx_.Sim(), t.wal_append);
   timers->local_work += t.wal_append;
   // Epoch stamp and intent append in one synchronous block (see
   // SubmitToSwitch's contract).
   compiled->txn.epoch = static_cast<uint8_t>(ctx_.faults->epoch());
   const db::Lsn lsn = ctx_.wal(node).AppendSwitchIntent(
       compiled->txn.client_seq, compiled->txn.instrs);
-  ctx_.tracer->CompleteSpan(wal_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(wal_begin, ctx_.Now(),
                             trace::Category::kWalAppend, ts, node);
 
   const size_t wire = sw::PacketCodec::WireSize(compiled->txn);
@@ -347,9 +345,9 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
       sw::PacketCodec::ResponseWireSize(compiled->txn.instrs.size());
   const auto& op_index = compiled->op_index;
 
-  const SimTime t0 = sim.now();
-  co_await ctx_.net->Send(self, net::Endpoint::Switch(),
-                          static_cast<uint32_t>(wire), ts);
+  const SimTime t0 = ctx_.Now();
+  co_await ctx_.SendMsg(self, net::Endpoint::Switch(),
+                        static_cast<uint32_t>(wire), ts);
   std::optional<sw::SwitchResult> res =
       co_await SubmitToSwitch(std::move(compiled->txn));
   if (!res.has_value()) {
@@ -358,31 +356,23 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
     // coordinator itself releases the remote validation locks. Hot results
     // stay nullopt.
     txn_timeouts_->Increment();
-    timers->switch_access += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(),
+    timers->switch_access += ctx_.Now() - t0;
+    ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
                               trace::Category::kSwitchAccess, ts, node);
     const SimTime one_way_node = 2 * config().network.node_to_switch_one_way;
     participants.ForEachReverse([&](NodeId p) {
-      db::LockManager* lm = &ctx_.lock_manager(p);
-      ctx_.sim->Schedule(one_way_node,
-                         [lm, txn_id] { lm->ReleaseAll(txn_id); });
+      ctx_.ScheduleRelease(p, one_way_node, txn_id);
     });
   } else {
     if (!participants.empty()) {
-      const auto arrivals =
-          ctx_.net->MulticastFromSwitch(static_cast<uint32_t>(resp_bytes));
-      participants.ForEachReverse([&](NodeId p) {
-        db::LockManager* lm = &ctx_.lock_manager(p);
-        ctx_.sim->ScheduleAt(arrivals[p],
-                             [lm, txn_id] { lm->ReleaseAll(txn_id); });
-      });
-      co_await sim::Delay(sim, arrivals[node] - sim.now());
+      co_await ctx_.CommitMulticast(node, static_cast<uint32_t>(resp_bytes),
+                                    txn_id, participants);
     } else {
-      co_await ctx_.net->Send(net::Endpoint::Switch(), self,
-                              static_cast<uint32_t>(resp_bytes), ts);
+      co_await ctx_.SendMsg(net::Endpoint::Switch(), self,
+                            static_cast<uint32_t>(resp_bytes), ts);
     }
-    timers->switch_access += sim.now() - t0;
-    ctx_.tracer->CompleteSpan(t0, sim.now(),
+    timers->switch_access += ctx_.Now() - t0;
+    ctx_.Trace().CompleteSpan(t0, ctx_.Now(),
                               trace::Category::kSwitchAccess, ts, node);
     if (!(*ctx_.node_crashed)[node]) {
       ctx_.wal(node).FillSwitchResult(lsn, res->gid, res->values);
@@ -401,7 +391,7 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
   }
   if (deferred_ops > 0) {
     const SimTime def_cost = t.op_local * static_cast<SimTime>(deferred_ops);
-    co_await sim::Delay(sim, def_cost);
+    co_await sim::Delay(ctx_.Sim(), def_cost);
     timers->local_work += def_cost;
   }
   for (const auto& [cell, value] : occ.write_buffer) {
@@ -414,10 +404,10 @@ sim::CoTask<bool> OptimisticCC::ExecuteWarm(
   }
   for (const TupleId& tuple : occ.write_set) ++versions_[tuple];
 
-  const SimTime commit_begin = sim.now();
-  co_await sim::Delay(sim, t.commit_local);
+  const SimTime commit_begin = ctx_.Now();
+  co_await sim::Delay(ctx_.Sim(), t.commit_local);
   timers->commit += t.commit_local;
-  ctx_.tracer->CompleteSpan(commit_begin, sim.now(),
+  ctx_.Trace().CompleteSpan(commit_begin, ctx_.Now(),
                             trace::Category::kCommit, ts, node);
   ctx_.lock_manager(node).ReleaseAll(txn_id);
   co_return true;

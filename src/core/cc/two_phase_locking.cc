@@ -11,10 +11,9 @@
 // the destination's shard, so this file never caches a Simulator& across
 // awaits — every timestamp and delay goes through ctx_.Sim()/ctx_.Now(),
 // which resolve to the shard the coroutine is currently executing on (and
-// to the engine's single simulator in legacy mode, where the sequence of
-// events is unchanged). The LmSwitch and Chiller branches below are
-// legacy-only (the engine rejects them with threads > 0): they touch
-// cross-shard state without migrating.
+// to the engine's single simulator in legacy mode). The LmSwitch and
+// Chiller branches below are legacy-only (ValidateConfig rejects them with
+// threads > 0): they touch cross-shard state without migrating.
 
 namespace p4db::core::cc {
 
@@ -403,31 +402,10 @@ sim::CoTask<bool> TwoPhaseLocking::ExecuteWarm(
     co_await ctx_.ReturnHome(node);
   } else {
     if (!participants.empty()) {
-      if (ctx_.router != nullptr) {
-        // Sharded: the router reserves the per-node downlinks on the switch
-        // shard, releases each participant at its own arrival, and resumes
-        // this coroutine on the home shard at node's arrival — the same
-        // protocol as the legacy block below, computed where each piece of
-        // state lives.
-        uint64_t mask = 0;
-        participants.ForEachReverse(
-            [&](NodeId p) { mask |= uint64_t{1} << p; });
-        co_await ctx_.CommitMulticast(node,
-                                      static_cast<uint32_t>(resp_bytes),
-                                      txn_id, mask);
-      } else {
-        const auto arrivals =
-            ctx_.net->MulticastFromSwitch(static_cast<uint32_t>(resp_bytes),
-                                          ctx_.faults->primary());
-        // Remote participants commit & release when the multicast reaches
-        // them.
-        participants.ForEachReverse([&](NodeId p) {
-          db::LockManager* lm = &ctx_.lock_manager(p);
-          ctx_.sim->ScheduleAt(arrivals[p],
-                               [lm, txn_id] { lm->ReleaseAll(txn_id); });
-        });
-        co_await sim::Delay(*ctx_.sim, arrivals[node] - ctx_.sim->now());
-      }
+      // Remote participants commit & release when the multicast reaches
+      // them.
+      co_await ctx_.CommitMulticast(node, static_cast<uint32_t>(resp_bytes),
+                                    txn_id, participants);
     } else if (ctx_.batcher != nullptr) {
       co_await ctx_.batcher->JoinResponse(
           node,

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "net/topology.h"
-
 namespace p4db::core {
 
 const char* EngineModeName(EngineMode mode) {
@@ -153,11 +151,33 @@ Status ValidateConfig(const SystemConfig& config) {
         "network.num_switches disagrees with num_switches; leave the "
         "network field at 1 and let the Engine mirror the top-level knob");
   }
-  // Cross-check the implied wiring itself.
-  net::NetworkConfig net = config.network;
-  net.num_nodes = config.num_nodes;
-  net.num_switches = config.num_switches;
-  return net::Topology::Star(net).Validate();
+  if (config.network.node_to_switch_one_way <= 0) {
+    return Status::InvalidArgument(
+        "network.node_to_switch_one_way must be positive: every message "
+        "crosses at least one node-to-switch link");
+  }
+  if (config.num_switches > 1 && config.network.switch_to_switch_one_way <= 0) {
+    return Status::InvalidArgument(
+        "network.switch_to_switch_one_way must be positive when replication "
+        "is enabled");
+  }
+  if (config.threads > 0) {
+    // The sharded runtime covers the configurations every figure benchmark
+    // scales; the remaining ones stay on the legacy runtime (threads = 0).
+    if (config.cc_protocol != CcProtocol::k2pl) {
+      return Status::Unsupported(
+          "the sharded runtime (threads >= 1) supports the 2PL protocol "
+          "only; run OCC with threads = 0");
+    }
+    if (config.mode != EngineMode::kP4db &&
+        config.mode != EngineMode::kNoSwitch) {
+      return Status::Unsupported(
+          std::string("the sharded runtime (threads >= 1) supports the P4DB "
+                      "and No-Switch modes only; run ") +
+          EngineModeName(config.mode) + " with threads = 0");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace p4db::core

@@ -181,7 +181,7 @@ struct SystemConfig {
   /// threads >= 1 value produces bit-identical results for a given seed —
   /// threads only buys wall-clock speed. Sharded mode supports
   /// kP4db/kNoSwitch with the 2PL protocol (the modes every figure
-  /// benchmark scales); the engine rejects other combinations.
+  /// benchmark scales); ValidateConfig rejects other combinations.
   int threads = 0;
 
   TimingConfig timing;
@@ -196,10 +196,11 @@ struct SystemConfig {
   bool optimal_layout = true;
 };
 
-/// Startup-time validation of topology/replication knobs. Returns a clear
-/// InvalidArgument/Unsupported Status for inconsistent combinations (zero
-/// switches, replication under a mode or protocol that cannot use it)
-/// instead of letting the engine assert mid-run. Benches and tests call it
+/// Startup-time validation: every configuration rule lives here. Returns a
+/// clear InvalidArgument/Unsupported Status for inconsistent combinations
+/// (zero switches, a non-positive link propagation, replication or the
+/// sharded runtime under a mode or protocol they cannot run) instead of
+/// letting the engine assert mid-run. Benches and tests call it
 /// before constructing an Engine; the Engine constructor re-checks it.
 Status ValidateConfig(const SystemConfig& config);
 

@@ -10,9 +10,8 @@
 #include "common/trace.h"
 #include "common/types.h"
 #include "core/config.h"
-#include "core/shard_router.h"
+#include "core/transport.h"
 #include "net/network.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "switchsim/packet.h"
 
@@ -45,27 +44,15 @@ namespace p4db::core {
 /// generation that already flushed is a no-op.
 class EgressBatcher {
  public:
-  /// Legacy single-simulator runtime.
+  /// Arms the transport's batch counters.
   EgressBatcher(const BatchConfig& config, uint16_t num_nodes,
-                sim::Simulator* sim, net::Network* net, trace::Tracer* tracer)
+                Transport* transport)
       : config_(config),
-        sim_(sim),
-        net_(net),
-        tracer_(tracer),
+        transport_(transport),
         request_lanes_(num_nodes),
         response_lanes_(num_nodes) {
     assert(config_.size > 1 && config_.size <= BatchConfig::kMaxBatchSize);
-    net_->EnableBatchCounters();
-  }
-
-  /// Sharded parallel runtime. Call ShardRouter::EnableBatchCounters first.
-  EgressBatcher(const BatchConfig& config, uint16_t num_nodes,
-                ShardRouter* router)
-      : config_(config),
-        router_(router),
-        request_lanes_(num_nodes),
-        response_lanes_(num_nodes) {
-    assert(config_.size > 1 && config_.size <= BatchConfig::kMaxBatchSize);
+    transport_->EnableBatchCounters();
   }
 
   EgressBatcher(const EgressBatcher&) = delete;
@@ -124,12 +111,8 @@ class EgressBatcher {
     uint64_t generation = 0;
   };
 
-  sim::Simulator& OwnerSim() {
-    return router_ != nullptr ? router_->CurrentSim() : *sim_;
-  }
-  trace::Tracer& OwnerTracer() {
-    return router_ != nullptr ? router_->CurrentTracer() : *tracer_;
-  }
+  sim::Simulator& OwnerSim() { return transport_->CurrentSim(); }
+  trace::Tracer& OwnerTracer() { return transport_->CurrentTracer(); }
   Lane& LaneOf(bool request, uint16_t node) {
     return request ? request_lanes_[node] : response_lanes_[node];
   }
@@ -178,29 +161,15 @@ class EgressBatcher {
         *lane.members[i].flush_at = OwnerSim().now();
       }
     }
-    if (router_ != nullptr) {
-      std::array<std::coroutine_handle<>, BatchConfig::kMaxBatchSize> handles;
-      for (uint32_t i = 0; i < count; ++i) {
-        handles[i] = lane.members[i].handle;
-      }
-      router_->BatchSend(from, to, wire, count, label, handles.data());
-    } else {
-      const SimTime arrive = net_->BatchArrivalTime(from, to, wire, count,
-                                                    label);
-      for (uint32_t i = 0; i < count; ++i) {
-        sim_->ScheduleResumeAt(arrive, lane.members[i].handle);
-      }
-    }
+    std::array<std::coroutine_handle<>, BatchConfig::kMaxBatchSize> handles;
+    for (uint32_t i = 0; i < count; ++i) handles[i] = lane.members[i].handle;
+    transport_->BatchSend(from, to, wire, count, label, handles.data());
     lane.count = 0;
     lane.payload_sum = 0;
   }
 
   const BatchConfig config_;
-  // Legacy runtime bindings (null in sharded mode and vice versa).
-  sim::Simulator* sim_ = nullptr;
-  net::Network* net_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  ShardRouter* router_ = nullptr;
+  Transport* transport_;
   std::vector<Lane> request_lanes_;   // per origin node (uplink)
   std::vector<Lane> response_lanes_;  // per destination node (downlink)
 };

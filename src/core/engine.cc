@@ -8,6 +8,7 @@
 
 #include "core/cc/execution_context.h"
 #include "core/hotset.h"
+#include "core/shard_router.h"
 
 namespace p4db::core {
 
@@ -29,7 +30,6 @@ SystemConfig Normalize(SystemConfig config) {
 Engine::Engine(const SystemConfig& config)
     : config_(Normalize(config)),
       sharded_(config_.threads > 0),
-      net_(&sim_, config_.network, &registry_),
       catalog_(std::make_unique<db::Catalog>(config_.num_nodes)),
       pm_(catalog_.get(), &config_.pipeline),
       node_crashed_(config_.num_nodes, false),
@@ -40,14 +40,6 @@ Engine::Engine(const SystemConfig& config)
     (void)valid;
   }
   if (sharded_) {
-    // The sharded runtime covers the configurations every figure benchmark
-    // scales (P4DB and the No-Switch baseline under 2PL); the remaining
-    // mode/protocol combinations stay on the legacy reference runtime.
-    assert(config_.cc_protocol == CcProtocol::k2pl &&
-           "sharded runtime supports the 2PL protocol only");
-    assert((config_.mode == EngineMode::kP4db ||
-            config_.mode == EngineMode::kNoSwitch) &&
-           "sharded runtime supports kP4db / kNoSwitch modes only");
     const uint32_t shard_count =
         static_cast<uint32_t>(config_.num_nodes) + config_.num_switches;
     // Lookahead = the minimum cross-shard latency: every network leg
@@ -76,15 +68,9 @@ Engine::Engine(const SystemConfig& config)
       shard_registries.push_back(es->registry);
       eshards_.push_back(std::move(es));
     }
-    router_ = std::make_unique<ShardRouter>(ssim_.get(), config_.network,
-                                            std::move(shard_tracers),
-                                            shard_registries);
-    if (config_.batch.size > 1) {
-      // Batch counters live on the shard that models each flush's egress
-      // link; registered here (not first use) so the dumped key set is a
-      // pure function of the configuration.
-      router_->EnableBatchCounters(shard_registries);
-    }
+    transport_ = std::make_unique<ShardRouter>(ssim_.get(), config_.network,
+                                               shard_tracers,
+                                               std::move(shard_registries));
   } else {
     // One shard for the whole cluster, aliasing the engine's own simulator,
     // registry and tracer: the historical seeds and id sequence.
@@ -94,6 +80,10 @@ Engine::Engine(const SystemConfig& config)
     es->tracer = &tracer_;
     es->seed_base = config_.seed;
     eshards_.push_back(std::move(es));
+    // The flight recorder is live from the first event; EnableFull upgrades
+    // the same tracer in place for --trace runs.
+    transport_ = std::make_unique<LegacyTransport>(&sim_, &tracer_,
+                                                   &registry_, config_.network);
   }
 
   // Under OCC the lock manager only serves short validation-phase locks;
@@ -115,8 +105,8 @@ Engine::Engine(const SystemConfig& config)
   std::vector<MetricsRegistry*> switch_registries;
   for (uint16_t k = 0; k < config_.num_switches; ++k) {
     // Pipeline k lives on shard num_nodes + k when sharded and emits into
-    // that shard's ring; network spans are the router's job (each leg lands
-    // on the shard that models it).
+    // that shard's ring; network spans are the transport's job (each leg
+    // lands on the shard that models it).
     EngineShard& home = SwitchHome(k);
     switch_registries.push_back(home.registry);
     pipelines_.push_back(std::make_unique<sw::Pipeline>(
@@ -139,12 +129,11 @@ Engine::Engine(const SystemConfig& config)
     // Egress batching armed: the CC send sites route switch-bound requests
     // (and switch-egress responses) through the batcher. At size <= 1 the
     // pointer stays null and every send takes the historical path
-    // byte-for-byte.
-    batcher_ = sharded_ ? std::make_unique<EgressBatcher>(
-                              config_.batch, config_.num_nodes, router_.get())
-                        : std::make_unique<EgressBatcher>(
-                              config_.batch, config_.num_nodes, &sim_, &net_,
-                              &tracer_);
+    // byte-for-byte. The batch counters register here, not at first use,
+    // so the dumped key set is a pure function of the configuration.
+    batcher_ = std::make_unique<EgressBatcher>(config_.batch,
+                                               config_.num_nodes,
+                                               transport_.get());
   }
   if (config_.open_loop.enabled) {
     open_loop_.reserve(config_.num_nodes);
@@ -179,23 +168,13 @@ Engine::Engine(const SystemConfig& config)
     }
   }
 
-  // The flight recorder is live from the first event; EnableFull upgrades
-  // the same tracer in place for --trace runs.
-  net_.set_tracer(&tracer_);
-
   // The fault controller reaches the runtime only through these hooks.
   FaultController::Runtime runtime;
   runtime.global_now = [this] { return GlobalNow(); };
   runtime.schedule_global_at = [this](SimTime t, std::function<void()> fn) {
     ScheduleGlobalAt(t, std::move(fn));
   };
-  runtime.post_to_switch = [this](uint16_t k, SimTime t, sim::InlineEvent ev) {
-    if (sharded_) {
-      ssim_->Post(config_.num_nodes + k, t, std::move(ev));
-    } else {
-      sim_.ScheduleAt(t, std::move(ev));
-    }
-  };
+  runtime.transport = transport_.get();
   faults_ = std::make_unique<FaultController>(
       config_, std::move(runtime), &pipelines_, &control_planes_, &pm_,
       catalog_.get(), &wals_, &int_collectors_, &registry_,
@@ -203,8 +182,7 @@ Engine::Engine(const SystemConfig& config)
 
   cc::ExecutionContext ctx;
   ctx.config = &config_;
-  ctx.sim = &sim_;
-  ctx.net = &net_;
+  ctx.transport = transport_.get();
   ctx.faults = faults_.get();
   ctx.catalog = catalog_.get();
   ctx.pm = &pm_;
@@ -213,8 +191,6 @@ Engine::Engine(const SystemConfig& config)
   ctx.wals = &wals_;
   ctx.node_crashed = &node_crashed_;
   ctx.next_client_seq = &next_client_seq_;
-  ctx.tracer = &tracer_;
-  ctx.router = router_.get();
   ctx.batcher = batcher_.get();
   ctx.int_collectors = int_collectors_.empty() ? nullptr : &int_collectors_;
   cc_ = cc::MakeConcurrencyControl(config_.cc_protocol, ctx);
@@ -272,7 +248,7 @@ OffloadReport Engine::Offload(size_t sample_size, size_t max_hot_items) {
   sw::ControlPlane& cp = *control_planes_[0];
   for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
     const HotItem& item = graph.item(v);
-    const LayoutPlan::ArrayRef arr = report.plan.arrays.at(item);
+    const LayoutPlan::ArrayRef arr = report.plan.arrays[v];
     const Value64 value = catalog_->table(item.tuple.table).GetOrCreate(
         item.tuple.key)[item.column];
     auto addr = cp.AllocateSlot(arr.stage, arr.reg);
@@ -803,17 +779,13 @@ Status Engine::InstallFaultSchedule(const net::FaultSchedule& schedule) {
   fault_schedule_ = schedule;
   // One injector per shard: link faults are drawn on the SENDER's shard in
   // its deterministic send order, from a stream that is a pure function of
-  // (seed, shard). The legacy network draws from its one shard's stream.
+  // (seed, shard). The legacy transport draws from its one shard's stream.
   for (uint32_t s = 0; s < eshards_.size(); ++s) {
     EngineShard& es = *eshards_[s];
     es.injector = std::make_unique<net::FaultInjector>(
         fault_schedule_, es.seed_base, es.registry);
     es.injector->BindRngOwner(es.rng_token);
-    if (sharded_) {
-      router_->set_fault_injector(s, es.injector.get());
-    } else {
-      net_.set_fault_injector(es.injector.get());
-    }
+    transport_->SetFaultInjector(s, es.injector.get());
   }
   // Chaos-only series are registered at arming (not first use) so two runs
   // with the same (seed, schedule) dump identical key sets even when an

@@ -20,13 +20,12 @@
 #include "core/layout.h"
 #include "core/metrics.h"
 #include "core/partition_manager.h"
-#include "core/shard_router.h"
+#include "core/transport.h"
 #include "db/lock_manager.h"
 #include "db/table.h"
 #include "db/txn.h"
 #include "db/wal.h"
 #include "net/fault_injector.h"
-#include "net/network.h"
 #include "sim/co_task.h"
 #include "sim/future.h"
 #include "sim/sharded_simulator.h"
@@ -217,9 +216,9 @@ class Engine {
   db::Wal& wal(NodeId node) { return *wals_[node]; }
   /// The active execution strategy (2PL or OCC).
   cc::ConcurrencyControl& concurrency_control() { return *cc_; }
-  /// Cluster-wide named counters/histograms published by Network, Pipeline,
-  /// LockManager, Wal and the engine itself; reset at the start of the
-  /// measured window; dumped as JSON by the bench harness. In sharded mode
+  /// Cluster-wide named counters/histograms published by the transport,
+  /// Pipeline, LockManager, Wal and the engine itself; reset at the start of
+  /// the measured window; dumped as JSON by the bench harness. In sharded mode
   /// the per-shard registries are merged into this one (fixed shard order)
   /// when Run finishes.
   MetricsRegistry& metrics_registry() { return registry_; }
@@ -377,10 +376,11 @@ class Engine {
   std::unique_ptr<sim::ShardedSimulator> ssim_;
   /// The shard table (see EngineShard). Declared before the components so
   /// shard sims/registries/tracers exist when lock managers, WALs, the
-  /// pipelines and the router bind to them.
+  /// pipelines and the transport bind to them.
   std::vector<std::unique_ptr<EngineShard>> eshards_;
-  std::unique_ptr<ShardRouter> router_;
-  net::Network net_;
+  /// The runtime's transport: a ShardRouter when sharded, a LegacyTransport
+  /// over sim_ / tracer_ / registry_ otherwise. Chosen once, here.
+  std::unique_ptr<Transport> transport_;
   /// One pipeline + control plane per switch (index == switch id). Slot 0
   /// is the boot-time primary; with one switch this is exactly the classic
   /// single-ToR cluster.

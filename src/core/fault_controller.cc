@@ -1,8 +1,7 @@
 #include "core/fault_controller.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <memory>
 #include <utility>
 
 #include "core/recovery.h"
@@ -35,7 +34,6 @@ FaultController::FaultController(
   // fixed per configuration.
   replica_states_.resize(config_.num_switches);
   for (auto& rs : replica_states_) rs.Reset(config_.num_nodes);
-  rep_link_busy_.assign(config_.num_switches, 0);
   rep_target_ = 1;
   for (uint16_t k = 0; k < config_.num_switches; ++k) {
     MetricsRegistry& reg = *switch_registries_[k];
@@ -250,22 +248,12 @@ void FaultController::OnReplicationRecord(uint16_t from,
   if (rep_target_ < 0) return;  // sole survivor: the WALs cover the gap
   const uint16_t backup = static_cast<uint16_t>(rep_target_);
   rep_sent_[from]->Increment();
-  // Egress serialization plus one propagation delay, with no injector
-  // draws (legacy and sharded stay draw-for-draw identical).
-  const SimTime ser = static_cast<SimTime>(
-      std::llround(static_cast<double>(sw::ReplicationWireSize(rec)) *
-                   config_.network.ns_per_byte));
-  const SimTime depart =
-      std::max(pipelines_[from]->now() + config_.network.send_overhead,
-               rep_link_busy_[from]) +
-      ser;
-  rep_link_busy_[from] = depart;
-  const SimTime arrive = depart + config_.network.switch_to_switch_one_way;
   // shared_ptr: a small copyable closure that frees a discarded record.
   auto boxed = std::make_shared<const sw::ReplicationRecord>(rec);
-  runtime_.post_to_switch(backup, arrive, [this, backup, boxed] {
-    ApplyReplicationRecord(backup, *boxed);
-  });
+  runtime_.transport->Replicate(from, backup, sw::ReplicationWireSize(rec),
+                                [this, backup, boxed] {
+                                  ApplyReplicationRecord(backup, *boxed);
+                                });
 }
 
 void FaultController::ApplyReplicationRecord(

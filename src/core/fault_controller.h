@@ -10,10 +10,10 @@
 #include "core/config.h"
 #include "core/int_collector.h"
 #include "core/partition_manager.h"
+#include "core/transport.h"
 #include "db/table.h"
 #include "db/wal.h"
 #include "net/fault_injector.h"
-#include "sim/inline_event.h"
 #include "switchsim/control_plane.h"
 #include "switchsim/pipeline.h"
 #include "switchsim/replication.h"
@@ -24,9 +24,10 @@ namespace p4db::core {
 /// and failback, the replicated view change and the replication stream,
 /// driven by SwitchDown(k), SwitchUp(k) and OnReplicationRecord(from, rec).
 /// The CC strategies read the getters to route and fence hot/warm traffic.
-/// It reaches the simulators only through the Runtime hooks. Every handler
-/// runs at a quiescent instant, except OnReplicationRecord, which runs on
-/// the emitting switch's shard and touches only its replication state.
+/// It reaches the simulators only through the Runtime hooks, the
+/// replication stream included. Every handler runs at a quiescent instant,
+/// except OnReplicationRecord, which runs on the emitting switch's shard
+/// and touches only its replication state.
 ///
 /// Go-dark invariant: the hot items' host rows hold the switch's state
 /// exactly while the cluster is dark. GoDark() seeds them, cuts the
@@ -37,9 +38,7 @@ class FaultController : public sw::ReplicationSink {
   struct Runtime {
     std::function<SimTime()> global_now;  // clock at a quiescent instant
     std::function<void(SimTime, std::function<void()>)> schedule_global_at;
-    /// Runs `ev` at `t` on switch `k`'s shard (from a switch's shard).
-    std::function<void(uint16_t k, SimTime t, sim::InlineEvent ev)>
-        post_to_switch;
+    Transport* transport = nullptr;  // carries the replication stream
   };
 
   /// Vectors are indexed by switch id; the caller owns every pointee. With
@@ -140,7 +139,6 @@ class FaultController : public sw::ReplicationSink {
   uint16_t primary_switch_ = 0;
   int rep_target_ = -1;
   uint32_t rep_view_ = 0;
-  std::vector<SimTime> rep_link_busy_;  // per-switch egress occupancy
   std::vector<sw::ReplicaState> replica_states_;
   /// "switch.rep_*" counters, in each switch's home registry.
   std::vector<MetricsRegistry::Counter*> rep_sent_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -99,19 +100,17 @@ std::vector<uint32_t> LayoutPlanner::OrderPartitions(
 }
 
 void LayoutPlanner::FillPlan(
-    const AccessGraph& graph, const std::vector<LayoutPlan::ArrayRef>& arrays,
+    const AccessGraph& graph, std::vector<LayoutPlan::ArrayRef> arrays,
     LayoutPlan* plan) const {
-  plan->arrays.reserve(arrays.size());
-  for (uint32_t v = 0; v < arrays.size(); ++v) {
-    plan->arrays.emplace(graph.item(v), arrays[v]);
-  }
+  plan->arrays = std::move(arrays);
+  const std::vector<LayoutPlan::ArrayRef>& placed = plan->arrays;
   plan->total_weight = graph.TotalWeight();
   plan->cut_weight = 0;
   plan->intra_part_weight = 0;
   plan->order_violation_weight = 0;
   for (const AccessGraph::Edge& e : graph.Edges()) {
-    const LayoutPlan::ArrayRef au = arrays[e.u];
-    const LayoutPlan::ArrayRef av = arrays[e.v];
+    const LayoutPlan::ArrayRef au = placed[e.u];
+    const LayoutPlan::ArrayRef av = placed[e.v];
     if (au.stage == av.stage && au.reg == av.reg) {
       plan->intra_part_weight += e.w.total();
       continue;
@@ -165,7 +164,7 @@ LayoutPlan LayoutPlanner::PlanOptimal(const AccessGraph& graph,
   for (uint32_t v = 0; v < n; ++v) {
     arrays[v] = ArrayForPart(position[cut.assignment[v]], k, pipeline_);
   }
-  FillPlan(graph, arrays, &plan);
+  FillPlan(graph, std::move(arrays), &plan);
   return plan;
 }
 
@@ -192,7 +191,7 @@ LayoutPlan LayoutPlanner::PlanRandom(const AccessGraph& graph,
         static_cast<uint8_t>(a / pipeline_.regs_per_stage),
         static_cast<uint8_t>(a % pipeline_.regs_per_stage)};
   }
-  FillPlan(graph, arrays, &plan);
+  FillPlan(graph, std::move(arrays), &plan);
   return plan;
 }
 

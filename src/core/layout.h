@@ -2,7 +2,6 @@
 #define P4DB_CORE_LAYOUT_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/access_graph.h"
@@ -21,7 +20,9 @@ struct LayoutPlan {
     uint8_t reg = 0;
   };
 
-  std::unordered_map<HotItem, ArrayRef, HotItemHash> arrays;
+  /// Indexed by the planned graph's vertex id: arrays[v] holds
+  /// graph.item(v).
+  std::vector<ArrayRef> arrays;
 
   // Diagnostics (drive Figure 16's optimal-vs-random comparison).
   uint64_t total_weight = 0;      // all co-access weight
@@ -55,10 +56,10 @@ class LayoutPlanner {
       const AccessGraph& graph, const MaxCutResult& cut,
       uint32_t num_parts, uint64_t* violated_weight) const;
 
-  /// Records each vertex's array in plan->arrays and scores the layout.
+  /// Moves each vertex's array into plan->arrays and scores the layout.
   /// `arrays[v]` is vertex v's array, so scoring an edge needs no lookup.
   void FillPlan(const AccessGraph& graph,
-                const std::vector<LayoutPlan::ArrayRef>& arrays,
+                std::vector<LayoutPlan::ArrayRef> arrays,
                 LayoutPlan* plan) const;
 
   sw::PipelineConfig pipeline_;

@@ -1,111 +1,96 @@
 #ifndef P4DB_CORE_SHARD_ROUTER_H_
 #define P4DB_CORE_SHARD_ROUTER_H_
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "common/types.h"
+#include "core/cc/node_set.h"
+#include "core/transport.h"
 #include "db/lock_manager.h"
 #include "net/fault_injector.h"
 #include "net/network.h"
+#include "net/wire.h"
 #include "sim/sharded_simulator.h"
 
 namespace p4db::core {
 
-/// Cross-shard message router for the parallel runtime.
+/// Cross-shard transport for the parallel runtime.
 ///
 /// In sharded mode every database node (and the switch) is one
 /// ShardedSimulator shard, and a coroutine always executes on the shard
 /// whose state it is touching. A network send therefore does two things at
-/// once: it models the wire (link occupancy, serialization, propagation,
-/// injected faults — mirroring net::Network::ArrivalTime) and it MIGRATES
-/// the sending coroutine to the destination shard, resuming it there at the
+/// once: it times the frame on the wire (net::Wire) and it MIGRATES the
+/// sending coroutine to the destination shard, resuming it there at the
 /// arrival time. Awaiting a lock grant or a switch-pipeline future then
 /// resolves on the shard that owns the lock manager / pipeline, which is
 /// exactly where the promise's ScheduleResume lands.
 ///
 /// Link-state ownership follows the shard map: node n's uplink and host
-/// receive path live on shard n; the per-node switch downlinks live on the
-/// switch shard. The sender leg (egress link + flight) is computed on the
-/// sending shard; the receiver leg (rx service) is computed by the mailbox
-/// record when it executes on the destination shard. Timing matches the
-/// legacy single-simulator Network except for two documented deviations:
+/// receive path live on shard n; switch k's per-node downlinks and
+/// replication egress on switch k's shard. The sender leg (egress link +
+/// flight) is computed on the sending shard; the receiver leg (rx service)
+/// is computed by the mailbox record when it executes on the destination
+/// shard. The legs compose like LegacyTransport's except in two places:
 ///  - node->node messages fly point to point in 2x one_way without
 ///    contending for the switch downlink (routing them through the switch
 ///    shard would add a third hop the legacy model doesn't have);
 ///  - the host rx path is reserved when a message arrives (the receiver
-///    leg runs on the destination shard), where the legacy Network reserves
-///    it at send time.
+///    leg runs on the destination shard), where the legacy transport
+///    reserves it at send time.
 ///
 /// All mailbox-record lambdas must fit InlineEvent's inline capacity; the
 /// capture sets below are sized for that (<= 40 bytes).
-class ShardRouter {
+class ShardRouter final : public Transport {
  public:
-  /// `injectors` / `tracers` / `registries` are per-shard, indexed by shard
-  /// id (node id, switch last); injector entries may be null (lossless).
+  /// `tracers` / `registries` are per-shard, indexed by shard id (node id,
+  /// switch last).
   ShardRouter(sim::ShardedSimulator* ssim, const net::NetworkConfig& config,
-              std::vector<trace::Tracer*> tracers,
-              const std::vector<MetricsRegistry*>& registries)
+              const std::vector<trace::Tracer*>& tracers,
+              std::vector<MetricsRegistry*> registries)
       : ssim_(ssim),
-        config_(config),
-        tracers_(std::move(tracers)),
-        injectors_(ssim->num_shards(), nullptr),
-        uplink_busy_(config.num_nodes, 0),
-        rx_busy_(config.num_nodes, 0),
-        downlink_busy_(
-            static_cast<size_t>(config.num_switches) * config.num_nodes, 0) {
+        num_nodes_(config.num_nodes),
+        wire_(config),
+        registries_(std::move(registries)),
+        senders_(ssim->num_shards()) {
     assert(ssim_->num_shards() ==
-           uint32_t{config_.num_nodes} + config_.num_switches);
-    assert(tracers_.size() == ssim_->num_shards());
-    assert(registries.size() == ssim_->num_shards());
-    messages_sent_.reserve(registries.size());
-    bytes_sent_.reserve(registries.size());
-    for (MetricsRegistry* reg : registries) {
-      messages_sent_.push_back(&reg->counter("net.messages_sent"));
-      bytes_sent_.push_back(&reg->counter("net.bytes_sent"));
+           uint32_t{config.num_nodes} + config.num_switches);
+    assert(tracers.size() == ssim_->num_shards());
+    assert(registries_.size() == ssim_->num_shards());
+    for (uint32_t s = 0; s < senders_.size(); ++s) {
+      senders_[s].tracer = tracers[s];
+      senders_[s].messages_sent = &registries_[s]->counter("net.messages_sent");
+      senders_[s].bytes_sent = &registries_[s]->counter("net.bytes_sent");
     }
   }
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Shard of switch 0; switch k lives on shard num_nodes + k.
-  uint32_t switch_shard() const { return config_.num_nodes; }
-  uint32_t ShardOf(net::Endpoint ep) const {
-    return ep.is_switch() ? switch_shard() + ep.switch_id() : ep.index;
+  sim::Simulator& CurrentSim() override { return ssim_->CurrentSim(); }
+  trace::Tracer& CurrentTracer() override {
+    return *senders_[ssim_->current_shard()].tracer;
   }
 
-  sim::Simulator& CurrentSim() { return ssim_->CurrentSim(); }
-  trace::Tracer& CurrentTracer() {
-    return *tracers_[ssim_->current_shard()];
-  }
-  bool OnShardOf(NodeId node) const {
-    return ssim_->current_shard() == node;
+  void SetFaultInjector(uint32_t shard,
+                        net::FaultInjector* injector) override {
+    senders_[shard].injector = injector;
   }
 
-  void set_fault_injector(uint32_t shard, net::FaultInjector* injector) {
-    injectors_[shard] = injector;
-  }
-
-  /// Arms per-shard "net.batches_sent" / "net.batched_txns" counters (the
-  /// sharded mirror of Network::EnableBatchCounters — lazily registered so
-  /// unbatched runs keep the historical merged key set). `registries` must
-  /// be the same per-shard vector the constructor saw.
-  void EnableBatchCounters(const std::vector<MetricsRegistry*>& registries) {
-    assert(registries.size() == ssim_->num_shards());
-    batches_sent_.reserve(registries.size());
-    batched_txns_.reserve(registries.size());
-    for (MetricsRegistry* reg : registries) {
+  /// Per-shard counters, on the shard that models each flush's egress link.
+  void EnableBatchCounters() override {
+    batches_sent_.reserve(registries_.size());
+    batched_txns_.reserve(registries_.size());
+    for (MetricsRegistry* reg : registries_) {
       batches_sent_.push_back(&reg->counter("net.batches_sent"));
       batched_txns_.push_back(&reg->counter("net.batched_txns"));
     }
-    batch_arrival_slot_.assign(config_.num_nodes, 0);
+    batch_arrival_slot_.assign(num_nodes_, 0);
   }
 
   /// Batched egress flush (EgressBatcher): reserves `from`'s egress link
@@ -117,16 +102,16 @@ class ShardRouter {
   /// parks the arrival in a dst-shard-owned slot; follower records (posted
   /// after it at the same flight time, so mailbox merge order guarantees
   /// they execute after it) resume at the slot time. Call on `from`'s
-  /// shard, after EnableBatchCounters.
+  /// shard.
   void BatchSend(net::Endpoint from, net::Endpoint to, uint32_t bytes,
                  uint32_t count, uint64_t label,
-                 const std::coroutine_handle<>* handles) {
+                 const std::coroutine_handle<>* handles) override {
     const uint32_t s = ssim_->current_shard();
     batches_sent_[s]->Increment();
     batched_txns_[s]->Increment(count);
     const SimTime begin = CurrentSim().now();
     const uint16_t track = from.index;
-    const SimTime flight = Depart(from, to, bytes, label, track);
+    const SimTime flight = Depart(from, to, bytes, label);
     const uint32_t dst_shard = ShardOf(to);
     if (to.is_switch()) {
       ssim_->Post(dst_shard, flight,
@@ -163,62 +148,64 @@ class ShardRouter {
   }
 
   /// Suspends the caller and resumes it on `to`'s shard at the message's
-  /// arrival time (sharded equivalent of co_await Network::Send).
-  void SendAndMigrate(net::Endpoint from, net::Endpoint to, uint32_t bytes,
-                      uint64_t txn_id, std::coroutine_handle<> h) {
+  /// arrival time.
+  bool Send(net::Endpoint from, net::Endpoint to, uint32_t bytes,
+            uint64_t txn_id, std::coroutine_handle<> h) override {
     const SimTime begin = CurrentSim().now();
     // A switch endpoint's index doubles as its trace track (switch 0 ==
     // trace::kSwitchTrack), so `from.index` covers both cases.
     const uint16_t track = from.index;
-    const SimTime flight_arrive = Depart(from, to, bytes, txn_id, track);
+    const SimTime flight_arrive = Depart(from, to, bytes, txn_id);
     ssim_->Post(ShardOf(to), flight_arrive,
                 [this, ha = h.address(), begin, txn_id, track,
                  dst = to.index] {
                   DeliverResume(ha, begin, txn_id, track, dst);
                 });
+    return true;
   }
 
-  /// Suspends the caller and resumes it on `node`'s shard one propagation
-  /// delay later. Models the home-node observer side of a timeout: no link
-  /// occupancy, no trace span — the legacy runtime's equivalent is simply
-  /// "the coroutine was already at home", a no-op.
-  void MigrateHome(NodeId node, std::coroutine_handle<> h) {
+  /// Resumes the caller on `node`'s shard one lookahead later when it is
+  /// away: the home-node observer side of a timeout. No link occupancy,
+  /// no trace span.
+  bool ReturnHome(NodeId node, std::coroutine_handle<> h) override {
+    if (ssim_->current_shard() == node) return false;
     ssim_->Post(node, CurrentSim().now() + ssim_->lookahead(),
                 [ha = h.address()] {
                   std::coroutine_handle<>::from_address(ha).resume();
                 });
+    return true;
   }
 
-  /// Runs lm->ReleaseAll(txn_id) on `owner`'s shard at absolute time `at`
-  /// (sharded equivalent of the legacy fire-and-forget
-  /// sim->Schedule(one_way, release) used by ReleaseLocks; like it, this
-  /// models no link occupancy). `at` must respect the lookahead.
-  void PostRelease(NodeId owner, SimTime at, db::LockManager* lm,
-                   uint64_t txn_id) {
-    ssim_->Post(owner, at, [lm, txn_id] { lm->ReleaseAll(txn_id); });
+  /// Runs lm->ReleaseAll(txn_id) on `owner`'s shard; `delay` must respect
+  /// the lookahead.
+  void Release(NodeId owner, SimTime delay, db::LockManager* lm,
+               uint64_t txn_id) override {
+    ssim_->Post(owner, CurrentSim().now() + delay,
+                [lm, txn_id] { lm->ReleaseAll(txn_id); });
   }
 
-  /// Switch multicast of the commit decision (Figure 10): reserves each
-  /// node's downlink on the switch shard in ascending node order (exactly
-  /// like Network::MulticastFromSwitch), then posts one record per node.
-  /// At its arrival (after the rx leg, computed on the node's shard) the
-  /// record releases `txn_id`'s locks when the node's bit is set in
-  /// `participant_mask`, and resumes `h` on node `self`. Must be called
-  /// from the switch shard; num_nodes must fit the mask.
-  void MulticastCommit(
-      NodeId self, uint32_t bytes, uint64_t txn_id, uint64_t participant_mask,
+  /// Reserves each node's downlink on the switch shard the caller runs on,
+  /// in ascending node order, then posts one record per node. At its
+  /// arrival (after the rx leg, computed on the node's shard) the record
+  /// releases `txn_id`'s locks at a participant and resumes `h` on node
+  /// `self`. num_nodes must fit the participant mask.
+  bool CommitMulticast(
+      uint16_t /*sw*/, NodeId self, uint32_t bytes, uint64_t txn_id,
+      const cc::NodeSet& participants,
       const std::vector<std::unique_ptr<db::LockManager>>& lock_managers,
-      std::coroutine_handle<> h) {
+      std::coroutine_handle<> h) override {
     assert(ssim_->current_shard() >= switch_shard());
-    assert(config_.num_nodes <= 64);
+    assert(num_nodes_ <= 64);
+    uint64_t participant_mask = 0;
+    participants.ForEachReverse(
+        [&](NodeId p) { participant_mask |= uint64_t{1} << p; });
     const uint16_t sw_id =
         static_cast<uint16_t>(ssim_->current_shard() - switch_shard());
     const net::Endpoint sw_ep = net::Endpoint::Switch(sw_id);
     const SimTime begin = CurrentSim().now();
-    for (uint16_t n = 0; n < config_.num_nodes; ++n) {
-      // Legacy MulticastFromSwitch labels every hop txn 0 (unattributed).
-      const SimTime flight = Depart(sw_ep, net::Endpoint::Node(n), bytes, 0,
-                                    sw_ep.index);
+    for (uint16_t n = 0; n < num_nodes_; ++n) {
+      // Every multicast hop is unattributed (txn 0).
+      const SimTime flight = Depart(sw_ep, net::Endpoint::Node(n), bytes, 0);
       if (n == self) {
         ssim_->Post(n, flight,
                     [this, ha = h.address(), begin, n, tr = sw_ep.index] {
@@ -237,67 +224,46 @@ class ShardRouter {
         });
       } else {
         // Non-participants still absorb the broadcast frame: the rx path
-        // is reserved so later messages queue behind it, as in the legacy
-        // model where every multicast leg runs the full ArrivalTime.
+        // is reserved so later messages queue behind it.
         ssim_->Post(n, flight,
                     [this, begin, n, tr = sw_ep.index] {
                       RxLeg(n, begin, 0, tr);
                     });
       }
     }
+    return true;
+  }
+
+  /// Runs on switch `from`'s shard; `deliver` runs on switch `to`'s.
+  void Replicate(uint16_t from, uint16_t to, uint32_t bytes,
+                 sim::InlineEvent deliver) override {
+    const uint32_t s = switch_shard() + from;
+    ssim_->Post(switch_shard() + to,
+                wire_.Replicate(ssim_->shard(s).now(), from, bytes),
+                std::move(deliver));
   }
 
  private:
-  /// Sender-side half of Network::ArrivalTime: counters, injected faults,
-  /// egress-link reservation, serialization, propagation. Returns the
-  /// flight arrival time at the destination (before any rx leg). Runs on
-  /// the sending shard.
+  /// Shard of switch 0; switch k lives on shard num_nodes + k.
+  uint32_t switch_shard() const { return num_nodes_; }
+  uint32_t ShardOf(net::Endpoint ep) const {
+    return ep.is_switch() ? switch_shard() + ep.switch_id() : ep.index;
+  }
+
+  /// Sender leg, on the sending shard: returns the flight arrival at the
+  /// destination (before any rx leg).
   SimTime Depart(net::Endpoint from, net::Endpoint to, uint32_t bytes,
-                 uint64_t txn_id, uint16_t track) {
+                 uint64_t txn_id) {
     const uint32_t s = ssim_->current_shard();
     assert(s == ShardOf(from));
-    sim::Simulator& sim = ssim_->shard(s);
-    messages_sent_[s]->Increment();
-    bytes_sent_[s]->Increment(bytes);
-
-    SimTime injected_delay = 0;
-    bool injected_dup = false;
-    if (net::FaultInjector* inj = injectors_[s]; inj != nullptr) {
-      const net::FaultInjector::Perturbation p = inj->OnSend(from, to);
-      injected_delay = p.extra_delay;
-      injected_dup = p.duplicate;
-      trace::Tracer* tracer = tracers_[s];
-      if (tracer->enabled()) {
-        if (p.dropped) {
-          tracer->Instant(trace::Category::kNetDrop, txn_id, track,
-                          to.index);
-        }
-        if (p.duplicate) {
-          tracer->Instant(trace::Category::kNetDup, txn_id, track,
-                          to.index);
-        }
-        if (p.delay_spiked) {
-          tracer->Instant(trace::Category::kNetDelaySpike, txn_id, track,
-                          to.index);
-        }
-      }
+    const SimTime flight = wire_.Depart(senders_[s], ssim_->shard(s).now(),
+                                        from, to, bytes, txn_id);
+    // Node->node flies point to point: the second hop's propagation
+    // without switch 0's downlink (see class comment).
+    if (!from.is_switch() && !to.is_switch()) {
+      return flight + wire_.config().node_to_switch_one_way;
     }
-
-    const SimTime ser = static_cast<SimTime>(
-        std::llround(static_cast<double>(bytes) * config_.ns_per_byte));
-    const SimTime start = sim.now() + config_.send_overhead + injected_delay;
-    SimTime* link =
-        from.is_switch()
-            ? &downlink_busy_[static_cast<size_t>(from.switch_id()) *
-                                  config_.num_nodes +
-                              to.index]
-            : &uplink_busy_[from.index];
-    const SimTime depart = std::max(start, *link) + ser;
-    *link = depart + (injected_dup ? ser : 0);
-    // Direct point-to-point flight; node->node skips the switch shard (see
-    // class comment) but still pays both propagation hops.
-    const int hops = (from.is_switch() || to.is_switch()) ? 1 : 2;
-    return depart + hops * config_.node_to_switch_one_way;
+    return flight;
   }
 
   /// Receiver-side rx-path reservation for node `n`; runs on shard n at the
@@ -305,12 +271,9 @@ class ShardRouter {
   /// original sender's track) and returns the post-rx arrival time.
   SimTime RxLeg(uint16_t n, SimTime begin, uint64_t txn_id = 0,
                 uint16_t track = trace::kSwitchTrack) {
-    sim::Simulator& sim = CurrentSim();
-    SimTime& rx = rx_busy_[n];
-    const SimTime arrive = std::max(sim.now(), rx) + config_.rx_service;
-    rx = arrive;
-    tracers_[n]->CompleteSpan(begin, arrive, trace::Category::kNetSend,
-                              txn_id, track, 0, 0, n);
+    const SimTime arrive = wire_.Receive(n, CurrentSim().now());
+    senders_[n].tracer->CompleteSpan(begin, arrive, trace::Category::kNetSend,
+                                     txn_id, track, 0, 0, n);
     return arrive;
   }
 
@@ -320,7 +283,7 @@ class ShardRouter {
     const auto h = std::coroutine_handle<>::from_address(ha);
     if (dst >= net::Endpoint::kSwitchBase) {
       // Switches receive at line rate: arrival == flight arrival.
-      tracers_[ShardOf(net::Endpoint{dst})]->CompleteSpan(
+      senders_[ShardOf(net::Endpoint{dst})].tracer->CompleteSpan(
           begin, sim.now(), trace::Category::kNetSend, txn_id, track, 0, 0,
           dst);
       h.resume();
@@ -331,11 +294,13 @@ class ShardRouter {
   }
 
   sim::ShardedSimulator* ssim_;
-  const net::NetworkConfig config_;
-  std::vector<trace::Tracer*> tracers_;             // per shard
-  std::vector<net::FaultInjector*> injectors_;      // per shard, may be null
-  std::vector<MetricsRegistry::Counter*> messages_sent_;  // per shard
-  std::vector<MetricsRegistry::Counter*> bytes_sent_;     // per shard
+  const uint16_t num_nodes_;
+  /// Link state, touched only by the owning shard's thread (or by globals
+  /// with every shard quiescent); see the class comment.
+  net::Wire wire_;
+  std::vector<MetricsRegistry*> registries_;  // per shard
+  /// Per shard: its fault stream, trace ring and traffic counters.
+  std::vector<net::Wire::Sender> senders_;
   // Batching support (empty until EnableBatchCounters).
   std::vector<MetricsRegistry::Counter*> batches_sent_;   // per shard
   std::vector<MetricsRegistry::Counter*> batched_txns_;   // per shard
@@ -343,12 +308,6 @@ class ShardRouter {
   /// being delivered there; written by the lead member's record, read by
   /// the followers posted right behind it. Owned by the destination shard.
   std::vector<SimTime> batch_arrival_slot_;
-  // Link state, touched only by the owning shard's thread (or by globals
-  // with every shard quiescent): uplink/rx of node n on shard n, switch k's
-  // per-node downlinks (k * num_nodes + n) on switch k's shard.
-  std::vector<SimTime> uplink_busy_;
-  std::vector<SimTime> rx_busy_;
-  std::vector<SimTime> downlink_busy_;
 };
 
 }  // namespace p4db::core

@@ -130,7 +130,7 @@ class FaultInjector {
 
   const FaultSchedule& schedule() const { return schedule_; }
 
-  /// Called by the Network once per message send. Draws from the RNG only
+  /// Called by net::Wire once per message send. Draws from the RNG only
   /// when link faults are configured.
   Perturbation OnSend(Endpoint from, Endpoint to);
 

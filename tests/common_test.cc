@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fixed_point.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -177,34 +176,6 @@ TEST(HotSetDistributionTest, ColdNeverInHotRange) {
   HotSetDistribution dist(1000, 10, 0.0);
   Rng rng(31);
   for (int i = 0; i < 10000; ++i) EXPECT_GE(dist.Next(rng), 10u);
-}
-
-// ----------------------------------------------------------------- Fixed --
-
-TEST(FixedTest, UnitsAndCents) {
-  EXPECT_EQ(Fixed::FromUnits(3).raw(), 300);
-  EXPECT_EQ(Fixed::FromCents(123).whole_units(), 1);
-}
-
-TEST(FixedTest, Arithmetic) {
-  Fixed a = Fixed::FromCents(150), b = Fixed::FromCents(75);
-  EXPECT_EQ((a + b).raw(), 225);
-  EXPECT_EQ((a - b).raw(), 75);
-  EXPECT_EQ((-a).raw(), -150);
-  a += b;
-  EXPECT_EQ(a.raw(), 225);
-}
-
-TEST(FixedTest, Comparisons) {
-  EXPECT_LT(Fixed::FromCents(1), Fixed::FromCents(2));
-  EXPECT_EQ(Fixed::FromCents(100), Fixed::FromUnits(1));
-}
-
-TEST(FixedTest, ScaleByPercentIsIntegerExact) {
-  // 8% tax on 12.50 = 1.00 exactly in integer math.
-  EXPECT_EQ(Fixed::ScaleByPercent(Fixed::FromCents(1250), 8).raw(), 100);
-  // Truncation (never rounds up): 8% of 1.01 = 0.0808 -> 8 cents.
-  EXPECT_EQ(Fixed::ScaleByPercent(Fixed::FromCents(101), 8).raw(), 8);
 }
 
 // ------------------------------------------------------------- Histogram --

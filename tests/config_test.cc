@@ -135,5 +135,85 @@ TEST(ConfigValidationTest, OpenLoopComposesWithBatching) {
   EXPECT_TRUE(ValidateConfig(cfg).ok());
 }
 
+TEST(ConfigValidationTest, AcceptsDefaultAndReplicatedP4db) {
+  SystemConfig cfg;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+  cfg.mode = EngineMode::kP4db;
+  cfg.num_switches = 2;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+}
+
+TEST(ConfigValidationTest, RejectsInconsistentTopologies) {
+  SystemConfig cfg;
+  cfg.mode = EngineMode::kP4db;
+
+  cfg.num_switches = 0;
+  EXPECT_FALSE(ValidateConfig(cfg).ok());
+  cfg.num_switches = 9;
+  EXPECT_FALSE(ValidateConfig(cfg).ok());
+
+  // Replication needs in-switch state (P4DB mode) and the 2PL protocol.
+  cfg.num_switches = 2;
+  cfg.mode = EngineMode::kNoSwitch;
+  EXPECT_FALSE(ValidateConfig(cfg).ok());
+  cfg.mode = EngineMode::kP4db;
+  cfg.cc_protocol = CcProtocol::kOcc;
+  EXPECT_FALSE(ValidateConfig(cfg).ok());
+  cfg.cc_protocol = CcProtocol::k2pl;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+
+  cfg.timing.view_change_delay = 0;
+  EXPECT_FALSE(ValidateConfig(cfg).ok());
+  cfg.timing.view_change_delay = 40 * kMicrosecond;
+
+  // The network mirror must either stay at its default (1) or agree.
+  cfg.network.num_switches = 3;
+  EXPECT_FALSE(ValidateConfig(cfg).ok());
+  cfg.network.num_switches = 2;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+}
+
+TEST(ConfigValidationTest, LinksNeedPositivePropagation) {
+  SystemConfig cfg;
+  cfg.network.node_to_switch_one_way = 0;
+  EXPECT_EQ(ValidateConfig(cfg).code(), Code::kInvalidArgument);
+  cfg.network.node_to_switch_one_way = kMicrosecond;
+  // The replication link exists only with a second switch.
+  cfg.network.switch_to_switch_one_way = 0;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+  cfg.mode = EngineMode::kP4db;
+  cfg.num_switches = 2;
+  EXPECT_EQ(ValidateConfig(cfg).code(), Code::kInvalidArgument);
+  cfg.network.switch_to_switch_one_way = kMicrosecond;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+}
+
+TEST(ConfigValidationTest, ShardedRuntimeRejectsOcc) {
+  SystemConfig cfg;
+  cfg.threads = 1;
+  cfg.cc_protocol = CcProtocol::kOcc;
+  EXPECT_EQ(ValidateConfig(cfg).code(), Code::kUnsupported);
+  cfg.threads = 0;
+  EXPECT_TRUE(ValidateConfig(cfg).ok());
+}
+
+TEST(ConfigValidationTest, ShardedRuntimeRejectsLmSwitchAndChiller) {
+  for (const EngineMode mode : {EngineMode::kLmSwitch, EngineMode::kChiller}) {
+    SystemConfig cfg;
+    cfg.mode = mode;
+    cfg.threads = 1;
+    EXPECT_EQ(ValidateConfig(cfg).code(), Code::kUnsupported)
+        << EngineModeName(mode);
+    cfg.threads = 0;
+    EXPECT_TRUE(ValidateConfig(cfg).ok()) << EngineModeName(mode);
+  }
+  for (const EngineMode mode : {EngineMode::kP4db, EngineMode::kNoSwitch}) {
+    SystemConfig cfg;
+    cfg.mode = mode;
+    cfg.threads = 1;
+    EXPECT_TRUE(ValidateConfig(cfg).ok()) << EngineModeName(mode);
+  }
+}
+
 }  // namespace
 }  // namespace p4db::core

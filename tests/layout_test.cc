@@ -39,6 +39,14 @@ std::vector<HotItem> Items(uint32_t n) {
   return items;
 }
 
+/// `item`'s array in `plan`, found through the planned graph's vertex index.
+LayoutPlan::ArrayRef ArrayOf(const LayoutPlan& plan, const AccessGraph& g,
+                             const HotItem& item) {
+  const uint32_t* v = g.FindVertex(item);
+  EXPECT_NE(v, nullptr);
+  return v == nullptr ? LayoutPlan::ArrayRef{} : plan.arrays[*v];
+}
+
 TEST(LayoutTest, EmptyGraphYieldsEmptyPlan) {
   AccessGraph g;
   LayoutPlanner planner(SmallPipe());
@@ -58,7 +66,7 @@ TEST(LayoutTest, EveryItemGetsAnArray) {
   LayoutPlanner planner(SmallPipe());
   const LayoutPlan plan = planner.PlanOptimal(g, 3);
   EXPECT_EQ(plan.arrays.size(), 20u);
-  for (const auto& [item, arr] : plan.arrays) {
+  for (const LayoutPlan::ArrayRef& arr : plan.arrays) {
     EXPECT_LT(arr.stage, 4);
     EXPECT_LT(arr.reg, 2);
   }
@@ -73,8 +81,8 @@ TEST(LayoutTest, CoAccessedPairsLandInDifferentArrays) {
   AccessGraph g = HotSetDetector::BuildGraph(items, {txn});
   LayoutPlanner planner(SmallPipe());
   const LayoutPlan plan = planner.PlanOptimal(g, 3);
-  const auto a = plan.arrays.at(items[0]);
-  const auto b = plan.arrays.at(items[1]);
+  const auto a = ArrayOf(plan, g, items[0]);
+  const auto b = ArrayOf(plan, g, items[1]);
   EXPECT_FALSE(a.stage == b.stage && a.reg == b.reg);
   EXPECT_EQ(plan.cut_weight, plan.total_weight);
   EXPECT_EQ(plan.intra_part_weight, 0u);
@@ -89,7 +97,8 @@ TEST(LayoutTest, DependencyDirectionOrdersStages) {
   AccessGraph g = HotSetDetector::BuildGraph(items, sample);
   LayoutPlanner planner(SmallPipe());
   const LayoutPlan plan = planner.PlanOptimal(g, 3);
-  EXPECT_LT(plan.arrays.at(items[0]).stage, plan.arrays.at(items[1]).stage);
+  EXPECT_LT(ArrayOf(plan, g, items[0]).stage,
+            ArrayOf(plan, g, items[1]).stage);
   EXPECT_EQ(plan.order_violation_weight, 0u);
 }
 
@@ -108,8 +117,8 @@ TEST(LayoutTest, ChainOfDependenciesIsTopologicallyOrdered) {
   LayoutPlanner planner(SmallPipe());
   const LayoutPlan plan = planner.PlanOptimal(g, 5);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_LT(plan.arrays.at(items[i]).stage,
-              plan.arrays.at(items[i + 1]).stage)
+    EXPECT_LT(ArrayOf(plan, g, items[i]).stage,
+              ArrayOf(plan, g, items[i + 1]).stage)
         << "link " << i;
   }
 }
@@ -128,7 +137,8 @@ TEST(LayoutTest, ConflictingDirectionsDropMinority) {
   AccessGraph g = HotSetDetector::BuildGraph(items, sample);
   LayoutPlanner planner(SmallPipe());
   const LayoutPlan plan = planner.PlanOptimal(g, 3);
-  EXPECT_LT(plan.arrays.at(items[0]).stage, plan.arrays.at(items[1]).stage);
+  EXPECT_LT(ArrayOf(plan, g, items[0]).stage,
+            ArrayOf(plan, g, items[1]).stage);
   EXPECT_EQ(plan.order_violation_weight, 2u);
 }
 
@@ -140,7 +150,7 @@ TEST(LayoutTest, RandomPlanRespectsCapacity) {
   LayoutPlanner planner(tiny);
   const LayoutPlan plan = planner.PlanRandom(g, 9);
   std::unordered_map<int, int> load;
-  for (const auto& [item, arr] : plan.arrays) {
+  for (const LayoutPlan::ArrayRef& arr : plan.arrays) {
     ++load[arr.stage * 8 + arr.reg];
   }
   for (const auto& [array, count] : load) EXPECT_LE(count, 8);
@@ -188,20 +198,27 @@ TEST(LayoutTest, MorePartsThanStagesSharesRegisters) {
   const LayoutPlan plan = planner.PlanOptimal(g, 3);
   // All 8 arrays used, nothing shares.
   std::set<std::pair<int, int>> used;
-  for (const auto& [item, arr] : plan.arrays) {
+  for (const LayoutPlan::ArrayRef& arr : plan.arrays) {
     used.insert({arr.stage, arr.reg});
   }
   EXPECT_EQ(used.size(), 8u);
   EXPECT_EQ(plan.intra_part_weight, 0u);
 }
 
-LayoutPlan PlanFromSample(const std::vector<db::Transaction>& sample,
-                          size_t hot_items, bool written_only) {
+struct GraphPlan {
+  AccessGraph graph;
+  LayoutPlan plan;
+};
+
+GraphPlan PlanFromSample(const std::vector<db::Transaction>& sample,
+                         size_t hot_items, bool written_only) {
   HotSetDetector detector;
   for (const db::Transaction& txn : sample) detector.Observe(txn);
-  const AccessGraph g = HotSetDetector::BuildGraph(
-      detector.TopK(hot_items, 2, written_only), sample);
-  return LayoutPlanner(sw::PipelineConfig{}).PlanOptimal(g, 13);
+  GraphPlan out{HotSetDetector::BuildGraph(
+                    detector.TopK(hot_items, 2, written_only), sample),
+                {}};
+  out.plan = LayoutPlanner(sw::PipelineConfig{}).PlanOptimal(out.graph, 13);
+  return out;
 }
 
 /// The graph's edges come out in first-seen order, which follows the
@@ -211,17 +228,20 @@ void ExpectPlanIgnoresSampleOrder(wl::Workload& workload, size_t hot_items) {
   workload.Setup(&catalog);
   std::vector<db::Transaction> sample = workload.Sample(5000, 7, 8);
   const bool written_only = workload.OffloadWrittenOnly();
-  const LayoutPlan forward = PlanFromSample(sample, hot_items, written_only);
+  const GraphPlan fwd = PlanFromSample(sample, hot_items, written_only);
   std::reverse(sample.begin(), sample.end());
-  const LayoutPlan reversed = PlanFromSample(sample, hot_items, written_only);
+  const GraphPlan rev = PlanFromSample(sample, hot_items, written_only);
+  const LayoutPlan& forward = fwd.plan;
+  const LayoutPlan& reversed = rev.plan;
 
   ASSERT_FALSE(forward.arrays.empty());
   ASSERT_EQ(forward.arrays.size(), reversed.arrays.size());
-  for (const auto& [item, arr] : forward.arrays) {
-    const auto it = reversed.arrays.find(item);
-    ASSERT_NE(it, reversed.arrays.end());
-    EXPECT_EQ(arr.stage, it->second.stage);
-    EXPECT_EQ(arr.reg, it->second.reg);
+  for (uint32_t v = 0; v < forward.arrays.size(); ++v) {
+    const LayoutPlan::ArrayRef& arr = forward.arrays[v];
+    const uint32_t* it = rev.graph.FindVertex(fwd.graph.item(v));
+    ASSERT_NE(it, nullptr);
+    EXPECT_EQ(arr.stage, reversed.arrays[*it].stage);
+    EXPECT_EQ(arr.reg, reversed.arrays[*it].reg);
   }
   EXPECT_GT(forward.total_weight, 0u);
   EXPECT_EQ(forward.total_weight, reversed.total_weight);
